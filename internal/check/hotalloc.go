@@ -19,7 +19,8 @@ import (
 // function that is not covered by the committed allowlist
 // (internal/check/testdata/hotalloc.allow). The hot set is the
 // allocation-free expansion path — EST/Place scheduling operations,
-// child-bound computation, level sweeps, and the vertex arena — where a
+// child-bound computation, level sweeps, the vertex arena, and the
+// transposition table's probe and store — where a
 // new escape means a per-vertex allocation the benchmarks would only
 // catch on the next perf run.
 //
@@ -43,6 +44,10 @@ var hotAllocDefaultFunctions = map[string][]string{
 		"bound", "boundChild", "beginExpand", "commitLevel", "sweepInto",
 		"coneFor", "restFor", "alloc", "materialize", "tasks", "insertChildren",
 	},
+	// The transposition table is probed for every generated child and
+	// stored for every expansion of a dedup search; table allocation and
+	// recycling (New, Acquire, Release) live in separate, cold functions.
+	"internal/transpose": {"Probe", "Store"},
 }
 
 // hotAllowEntry is one parsed allowlist line:

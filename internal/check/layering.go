@@ -99,7 +99,7 @@ var layerAllowed = map[string][]string{
 	// and queueing policy only — it moves opaque cached bytes and admits
 	// requests, so it may NOT touch the solver stack (core/sched/...);
 	// the serving daemon composes grid with the solvers.
-	"internal/grid": {"internal/peer"},
+	"internal/grid":  {"internal/peer"},
 	"internal/trace": {"internal/core", "internal/taskgraph"},
 	"internal/rescue": {
 		"internal/core", "internal/dispatch", "internal/faults", "internal/listsched",

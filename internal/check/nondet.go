@@ -42,10 +42,10 @@ var hotPackages = map[string]bool{
 // randConstructors create independent generators rather than drawing from
 // the global source; they are the sanctioned escape hatch.
 var randConstructors = map[string]bool{
-	"New":       true,
-	"NewSource": true,
-	"NewZipf":   true,
-	"NewPCG":    true, // math/rand/v2
+	"New":        true,
+	"NewSource":  true,
+	"NewZipf":    true,
+	"NewPCG":     true, // math/rand/v2
 	"NewChaCha8": true,
 }
 

@@ -8,7 +8,7 @@ import (
 	_ "repro/internal/core"      // allowed: the engine the workers run
 	_ "repro/internal/exp"       // want "layering violation: internal/dist may not import internal/exp"
 	_ "repro/internal/platform"  // allowed: substrate
-	_ "repro/internal/server"    // want "internal/server may only be imported by cmd binaries"
 	_ "repro/internal/sched"     // allowed: substrate
+	_ "repro/internal/server"    // want "internal/server may only be imported by cmd binaries"
 	_ "repro/internal/taskgraph" // allowed: foundation
 )

@@ -30,6 +30,7 @@ import (
 //   - bound is the naive full sweep: O(V+E) per generated child. It is the
 //     reference kernel's bounder and the oracle the optimized regime is
 //     tested against.
+//
 //   - beginExpand + boundChild is the incremental cone regime, built on an
 //     exact algebraic split of the recurrence above:
 //

@@ -5,7 +5,9 @@ import (
 )
 
 // dedupTable resolves the transposition table for a run with Params.Dedup:
-// the externally supplied one, or a private table sized by DedupBudget.
+// the externally supplied one, or a private table sized by DedupBudget —
+// the table an earlier solve released, when its size fits
+// (transpose.Acquire).
 // Returns nil when dedup is off.
 func dedupTable(p Params) *transpose.Table {
 	if !p.Dedup {
@@ -14,7 +16,18 @@ func dedupTable(p Params) *transpose.Table {
 	if p.DedupTable != nil {
 		return p.DedupTable
 	}
-	return transpose.New(p.DedupBudget)
+	return transpose.Acquire(p.DedupBudget)
+}
+
+// releaseTable hands a run's private table back for the next solve once
+// the run is over and its stats are taken. A caller's Params.DedupTable is
+// never recycled, and neither is the table of a run whose search failed:
+// a recovered panic may have left a stripe lock held.
+func releaseTable(p Params, tt *transpose.Table, failed bool) {
+	if tt == nil || p.DedupTable != nil || failed {
+		return
+	}
+	tt.Release()
 }
 
 // fillTableStats copies the table gauges into the run's Stats. For shared

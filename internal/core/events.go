@@ -33,6 +33,10 @@ const (
 	// (Params.Dedup): a previously expanded state with the same canonical
 	// signature subsumes it.
 	EventDuplicate
+
+	// NumEventKinds is the number of event kinds above; arrays indexed by
+	// EventKind are sized from it. New kinds go before it.
+	NumEventKinds
 )
 
 func (k EventKind) String() string {

@@ -107,6 +107,7 @@ func SolveIDA(g *taskgraph.Graph, plat platform.Platform, p Params) (Result, err
 	}
 	s.run()
 	fillTableStats(&s.stats, s.tt)
+	releaseTable(p, s.tt, false)
 	s.stats.Elapsed = time.Since(start) //bbvet:ignore nondet (reporting only)
 	return s.result()
 }

@@ -127,8 +127,9 @@ func SolveParallelContext(ctx context.Context, g *taskgraph.Graph, plat platform
 	if p.Resources.TimeLimit > 0 {
 		ps.deadline = start.Add(p.Resources.TimeLimit)
 	}
-	err := ps.run()
+	err := ps.run() // returns only after every worker has joined
 	fillTableStats(&ps.stats, ps.tt)
+	releaseTable(p, ps.tt, err != nil)
 	ps.stats.Elapsed = time.Since(start) //bbvet:ignore nondet (reporting only)
 	if err != nil {
 		// Salvage the incumbent: the search machinery failed, but every

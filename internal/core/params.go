@@ -333,7 +333,11 @@ type Params struct {
 
 	// DedupBudget caps the transposition table's memory in bytes; 0 picks
 	// transpose.DefaultBudget (64 MiB). The table never allocates past the
-	// budget: beyond it, replacement (depth-preferred) evicts.
+	// budget: beyond it, replacement (depth-preferred) evicts. The private
+	// table is retained between solves: a finished run hands it back
+	// (transpose.Release) and the next run of the same bucket count reuses
+	// it pristine, so one table of at most transpose.DefaultBudget stays
+	// allocated while the process is idle. Larger tables are not retained.
 	DedupBudget int64
 
 	// DedupTable, when non-nil, supplies the transposition table instead

@@ -230,6 +230,7 @@ func SolveContext(ctx context.Context, g *taskgraph.Graph, plat platform.Platfor
 	s.runRecovering()
 	s.arena.release() // the search tree is dead; drop its slabs wholesale
 	fillTableStats(&s.stats, s.tt)
+	releaseTable(p, s.tt, s.panicked != nil)
 	s.stats.Elapsed = time.Since(start) //bbvet:ignore nondet (reporting only)
 
 	res, err := s.result()

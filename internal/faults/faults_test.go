@@ -61,12 +61,12 @@ func TestNilScenarioIsFaultFree(t *testing.T) {
 
 func TestValidateRejects(t *testing.T) {
 	cases := []Scenario{
-		{Faults: []Fault{{Kind: ProcFailure, Proc: 4, At: 0}}},                                    // proc out of range
-		{Faults: []Fault{{Kind: ProcFailure, Proc: 0, At: -1}}},                                   // negative instant
+		{Faults: []Fault{{Kind: ProcFailure, Proc: 4, At: 0}}},                                      // proc out of range
+		{Faults: []Fault{{Kind: ProcFailure, Proc: 0, At: -1}}},                                     // negative instant
 		{Faults: []Fault{{Kind: ProcFailure, Proc: 1, At: 3}, {Kind: ProcFailure, Proc: 1, At: 9}}}, // double failure
-		{Faults: []Fault{{Kind: ExecOverrun, Task: 10, Extra: 1}}},                                // task out of range
-		{Faults: []Fault{{Kind: ExecOverrun, Task: 0, Extra: 0}}},                                 // zero overrun
-		{Faults: []Fault{{Kind: Kind(99)}}},                                                      // unknown kind
+		{Faults: []Fault{{Kind: ExecOverrun, Task: 10, Extra: 1}}},                                  // task out of range
+		{Faults: []Fault{{Kind: ExecOverrun, Task: 0, Extra: 0}}},                                   // zero overrun
+		{Faults: []Fault{{Kind: Kind(99)}}},                                                         // unknown kind
 	}
 	for i, sc := range cases {
 		sc := sc

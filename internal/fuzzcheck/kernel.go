@@ -152,7 +152,7 @@ func checkKernelInstance(cfg KernelConfig, seed int64) (int, error) {
 		if a.Stats.Dropped == 0 && b.Stats.Dropped == 0 {
 			dd := opt
 			dd.Dedup = true
-			c, err := core.Solve(g, plat, dd)
+			c, err := dedupTwice(func() (core.Result, error) { return core.Solve(g, plat, dd) })
 			if err != nil {
 				return checked, fmt.Errorf("%s dedup: %w", combo.name, err)
 			}
@@ -185,7 +185,7 @@ func checkKernelInstance(cfg KernelConfig, seed int64) (int, error) {
 	}
 	dd := opt
 	dd.Dedup = true
-	c, err := core.SolveIDA(g, plat, dd)
+	c, err := dedupTwice(func() (core.Result, error) { return core.SolveIDA(g, plat, dd) })
 	if err != nil {
 		return checked, fmt.Errorf("ida dedup: %w", err)
 	}
@@ -196,6 +196,34 @@ func checkKernelInstance(cfg KernelConfig, seed int64) (int, error) {
 		checked++
 	}
 	return checked, nil
+}
+
+// dedupTwice runs a dedup solve twice back to back. The second run gets
+// the table the first one released (transpose.Acquire recycles it), so
+// unless a run timed out, the two must agree on the outcome and on every
+// Stats counter: a recycled table has to be indistinguishable from a
+// fresh one. It returns the first run.
+func dedupTwice(solve func() (core.Result, error)) (core.Result, error) {
+	a, err := solve()
+	if err != nil {
+		return a, err
+	}
+	b, err := solve()
+	if err != nil {
+		return a, fmt.Errorf("rerun: %w", err)
+	}
+	if a.Stats.TimedOut || b.Stats.TimedOut {
+		return a, nil
+	}
+	if err := dedupOutcomeEqual(b, a); err != nil {
+		return a, fmt.Errorf("rerun on a recycled table: %w", err)
+	}
+	x, y := a.Stats, b.Stats
+	x.Elapsed, y.Elapsed = 0, 0
+	if x != y {
+		return a, fmt.Errorf("rerun on a recycled table: stats %+v != first run %+v", y, x)
+	}
+	return a, nil
 }
 
 // dedupOutcomeEqual is the dedup campaign's weaker contract: duplicate

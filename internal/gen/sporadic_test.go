@@ -95,7 +95,7 @@ func TestReleasesRejectsBadParams(t *testing.T) {
 	g := sporadicFixture(t)
 	gen := New(Defaults(), 1)
 	bad := []ReleaseParams{
-		{},                          // zero horizon
+		{}, // zero horizon
 		{Horizon: 10, JitterFrac: -0.1},
 		{Horizon: 10, StretchFrac: 1.5},
 		{Horizon: 10, JitterFrac: 0.2, StretchFrac: 0.2}, // exclusive models

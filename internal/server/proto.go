@@ -389,12 +389,12 @@ type RecoverRequest struct {
 
 // RecoverResponse summarizes the recovery outcome.
 type RecoverResponse struct {
-	Recovered bool              `json:"recovered"` // false: nothing needed rescue
-	Degraded  bool              `json:"degraded"`  // plan came from the list fallback
-	PreLmax   taskgraph.Time    `json:"pre_lmax"`
-	PostLmax  taskgraph.Time    `json:"post_lmax"`
-	Misses    int               `json:"misses"`
-	Stats     SearchStats       `json:"stats"` // zero when the B&B path did not run
+	Recovered bool               `json:"recovered"` // false: nothing needed rescue
+	Degraded  bool               `json:"degraded"`  // plan came from the list fallback
+	PreLmax   taskgraph.Time     `json:"pre_lmax"`
+	PostLmax  taskgraph.Time     `json:"post_lmax"`
+	Misses    int                `json:"misses"`
+	Stats     SearchStats        `json:"stats"` // zero when the B&B path did not run
 	Merged    []rescue.Placement `json:"merged,omitempty"`
 }
 

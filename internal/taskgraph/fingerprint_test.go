@@ -230,10 +230,10 @@ func TestRelabelRejectsBadPermutations(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	g := randomDAG(rng, 5)
 	for _, perm := range [][]TaskID{
-		{0, 1, 2},             // wrong length
-		{0, 1, 2, 3, 5},       // out of range
-		{0, 1, 2, 2, 3},       // not injective
-		{-1, 0, 1, 2, 3},      // negative
+		{0, 1, 2},        // wrong length
+		{0, 1, 2, 3, 5},  // out of range
+		{0, 1, 2, 2, 3},  // not injective
+		{-1, 0, 1, 2, 3}, // negative
 	} {
 		if _, err := Relabel(g, perm); err == nil {
 			t.Errorf("Relabel accepted bad permutation %v", perm)

@@ -37,7 +37,7 @@ type Recorder struct {
 	Cap int
 
 	mu     sync.Mutex
-	counts [core.EventDrop + 1]int64
+	counts [core.NumEventKinds]int64
 	other  int64 // future kinds beyond the known range
 }
 
@@ -153,8 +153,7 @@ func (r *Recorder) Summary() string {
 		b.WriteString(" (truncated)")
 	}
 	b.WriteString("\n")
-	for _, k := range []core.EventKind{core.EventExpand, core.EventGenerate,
-		core.EventPrune, core.EventDominated, core.EventGoal, core.EventIncumbent, core.EventDrop} {
+	for k := core.EventKind(0); k < core.NumEventKinds; k++ {
 		if c := r.Count(k); c > 0 {
 			fmt.Fprintf(&b, "  %-10s %d\n", k, c)
 		}

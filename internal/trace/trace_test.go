@@ -52,6 +52,54 @@ func TestRecorderCountsMatchSolverStats(t *testing.T) {
 	}
 }
 
+// TestRecorderCountsEveryKind feeds k+1 events of every kind k and reads
+// them back: the counter array must cover the whole EventKind enum.
+func TestRecorderCountsEveryKind(t *testing.T) {
+	rec := NewRecorder(0)
+	obs := rec.Observer()
+	for k := core.EventKind(0); k < core.NumEventKinds; k++ {
+		for i := 0; i <= int(k); i++ {
+			obs(core.Event{Kind: k})
+		}
+	}
+	for k := core.EventKind(0); k < core.NumEventKinds; k++ {
+		if got := rec.Count(k); got != int64(k)+1 {
+			t.Errorf("Count(%v) = %d, want %d", k, got, int64(k)+1)
+		}
+	}
+	if rec.Truncated() {
+		t.Error("an uncapped recorder reports truncation")
+	}
+}
+
+// TestRecorderCountsDuplicates checks the duplicate-detection events
+// against the solver's own counter on wide graphs, where dedup prunes.
+func TestRecorderCountsDuplicates(t *testing.T) {
+	p := gen.Defaults()
+	p.NMin, p.NMax = 9, 9
+	p.DepthMin, p.DepthMax = 3, 4
+	gg := gen.New(p, 101)
+	var total int64
+	for i := 0; i < 3; i++ {
+		g := gg.Graph()
+		if err := deadline.Assign(g, 1.5, deadline.EqualSlack); err != nil {
+			t.Fatal(err)
+		}
+		rec := NewRecorder(1)
+		res, err := core.Solve(g, platform.New(3), core.Params{Dedup: true, Observer: rec.Observer()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.Count(core.EventDuplicate); got != res.Stats.DedupPruned {
+			t.Fatalf("graph %d: duplicate events %d != stats %d", i, got, res.Stats.DedupPruned)
+		}
+		total += res.Stats.DedupPruned
+	}
+	if total == 0 {
+		t.Fatal("no duplicates pruned: the workload does not exercise dedup")
+	}
+}
+
 func TestRecorderCap(t *testing.T) {
 	g := taskgraph.ForkJoin(4, 5, 2)
 	rec, res := tracedSolve(t, g, 2, 10)

@@ -28,6 +28,12 @@
 //     epochs are treated as absent (counted stale when touched) and
 //     reclaimed lazily. SolveIDA resets between threshold iterations;
 //     fleet workers reset between solves and after non-exhausted slices.
+//   - Recycling: Release keeps a table of at most DefaultBudget as the
+//     package's single spare and Acquire hands it out again instead of
+//     allocating. Release also moves the table's base epoch past every
+//     stored entry, and entries older than the base read as never-used, so
+//     a recycled table is indistinguishable from a New one — its stale
+//     counter included.
 //
 // Subsumption: Probe reports a hit only for an entry with the same key AND
 // depth whose stored bound is ≤ the probing child's bound. True duplicates
@@ -57,7 +63,7 @@ type slot struct {
 	hi    uint64
 	lb    int64
 	depth int32
-	epoch uint32 // 0 = never used; live iff epoch == table epoch
+	epoch uint32 // 0 or below the table's base = never used; live iff epoch == table epoch
 }
 
 type bucket [2]slot
@@ -111,6 +117,7 @@ type Table struct {
 	mask    uint64
 	budget  int64
 	epoch   uint32 // written under ALL stripe locks, read under any one
+	base    uint32 // entries older than base are never-used; same locking as epoch
 	stripes [numStripes]stripe
 
 	// digest collection (fleet mode): bounded buffer of recent stores.
@@ -126,22 +133,75 @@ type Table struct {
 // allocation fits budgetBytes (0 picks DefaultBudget; smaller than
 // MinBudget is clamped up to it).
 func New(budgetBytes int64) *Table {
+	budgetBytes = clampBudget(budgetBytes)
+	n := bucketCount(budgetBytes)
+	return &Table{
+		buckets: make([]bucket, n),
+		mask:    uint64(n - 1),
+		budget:  budgetBytes,
+		epoch:   1,
+		base:    1,
+	}
+}
+
+// clampBudget applies New's budget defaults: 0 picks DefaultBudget and
+// anything below MinBudget is raised to it.
+func clampBudget(budgetBytes int64) int64 {
 	if budgetBytes <= 0 {
 		budgetBytes = DefaultBudget
 	}
 	if budgetBytes < MinBudget {
 		budgetBytes = MinBudget
 	}
+	return budgetBytes
+}
+
+// bucketCount is the largest power-of-two bucket count whose allocation
+// fits a clamped budget.
+func bucketCount(budgetBytes int64) int {
 	n := 1
 	for int64(n*2)*bucketBytes <= budgetBytes {
 		n *= 2
 	}
-	return &Table{
-		buckets: make([]bucket, n),
-		mask:    uint64(n - 1),
-		budget:  budgetBytes,
-		epoch:   1,
+	return n
+}
+
+// spare is the one released table Acquire may hand out again. One slot
+// serves a stream of sequential dedup solves, and an idle process keeps at
+// most one table of at most DefaultBudget. The spare is pristine (see
+// Release), so no caller can tell a recycled table from a New one.
+var spare atomic.Pointer[Table]
+
+// Acquire returns a table that is observationally identical to
+// New(budgetBytes) — same bucket count and budget, zero counters, no
+// visible entries, collection off — taking the spare when it has that
+// bucket count. Hand it back with Release once no goroutine uses it any
+// more.
+func Acquire(budgetBytes int64) *Table {
+	budgetBytes = clampBudget(budgetBytes)
+	if t := spare.Load(); t != nil && len(t.buckets) == bucketCount(budgetBytes) && spare.CompareAndSwap(t, nil) {
+		t.budget = budgetBytes
+		return t
 	}
+	return New(budgetBytes)
+}
+
+// Release makes the table pristine in O(#stripes) and keeps it as the
+// spare, replacing any earlier one. A table whose budget exceeds
+// DefaultBudget is not kept but left for the garbage collector, so a large
+// per-request budget is not pinned once its solve ends. The caller must
+// be the table's only user and must not touch it afterwards. Releasing the
+// current spare again panics before changing it; a second release after
+// Acquire has handed the table out again cannot be detected.
+func (t *Table) Release() {
+	if spare.Load() == t {
+		panic("transpose: table released twice")
+	}
+	if t.budget > DefaultBudget {
+		return
+	}
+	t.reset(true)
+	spare.Store(t)
 }
 
 // Budget returns the configured byte budget.
@@ -166,7 +226,7 @@ func (t *Table) Probe(lo, hi uint64, depth int32, lb int64) bool {
 			continue
 		}
 		if s.epoch != t.epoch {
-			if s.epoch != 0 {
+			if s.epoch >= t.base {
 				st.stale++
 			}
 			continue
@@ -244,23 +304,39 @@ func (t *Table) Import(entries []Entry) {
 
 // Reset invalidates every entry in O(#stripes) by bumping the epoch. Old
 // entries are reclaimed lazily as their slots are touched.
-func (t *Table) Reset() {
+func (t *Table) Reset() { t.reset(false) }
+
+// reset bumps the epoch under all stripe locks and empties the digest
+// buffer. A pristine reset also moves the base up to the new epoch, so the
+// old entries are not even counted stale, zeroes the counters and turns
+// collection off: the table is then indistinguishable from a New one
+// without its buckets being touched.
+func (t *Table) reset(pristine bool) {
 	for i := range t.stripes {
 		t.stripes[i].mu.Lock()
 	}
 	t.epoch++
 	if t.epoch == 0 { // uint32 wrap: 0 is the never-used sentinel
-		t.epoch = 1
-		for i := range t.buckets {
-			t.buckets[i] = bucket{}
-		}
+		t.epoch, t.base = 1, 1
+		clear(t.buckets)
+	}
+	if pristine {
+		t.base = t.epoch
 	}
 	for i := range t.stripes {
-		t.stripes[i].live = 0
+		st := &t.stripes[i]
+		st.live = 0
+		if pristine {
+			st.hits, st.misses, st.stores, st.evictions, st.stale = 0, 0, 0, 0, 0
+		}
 		t.stripes[i].mu.Unlock()
 	}
 	t.collectMu.Lock()
 	t.collect = t.collect[:0]
+	if pristine {
+		t.collectCap.Store(0)
+		t.collectDropped = 0
+	}
 	t.collectMu.Unlock()
 }
 

@@ -42,7 +42,8 @@
 # platforms against their brute-force oracles, plus the bit-identical
 # legacy leg for explicit unit/universal specs.
 #
-# The vet form is the static-analysis contract: the full bbvet suite
+# The vet form is the static-analysis contract: gofmt (any file that
+# `gofmt -l .` lists fails the gate), the full bbvet suite
 # (per-package analyzers plus the whole-program lockorder, goleak,
 # hotalloc, and wireschema passes) over the whole module under the
 # strict baseline — any finding not recorded in
@@ -103,6 +104,14 @@ if [ "${1:-}" = "hetero" ]; then
 fi
 
 if [ "${1:-}" = "vet" ]; then
+    echo "==> gofmt -l ."
+    unformatted="$(gofmt -l .)"
+    if [ -n "$unformatted" ]; then
+        echo "$unformatted"
+        echo "FAIL: gofmt -l lists the files above; format them with gofmt -w" >&2
+        exit 1
+    fi
+
     echo "==> bbvet -strict-baseline ./... (all analyzers, committed baseline)"
     go run ./cmd/bbvet -strict-baseline ./...
 
