@@ -170,7 +170,7 @@ func main() {
 		fmt.Printf("bbserved: cache-grid replica %s, %d configured peers\n", node.Self(), len(splitList(*peers)))
 	}
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler(), readHeaderTimeout)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
@@ -248,6 +248,23 @@ func main() {
 	if leaked > 0 {
 		os.Exit(1)
 	}
+}
+
+// Connection timeouts. A client gets readHeaderTimeout to deliver its
+// request line and headers, and an idle keep-alive connection is closed
+// after idleTimeout, so slow or silent clients cannot hold connections that
+// admission control never sees. There is deliberately no WriteTimeout: a
+// solve may legitimately run for up to -max-budget before its response is
+// written.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer wraps the daemon's handler in an http.Server that drops a
+// client which has not sent its full request header within headerTimeout.
+func newHTTPServer(h http.Handler, headerTimeout time.Duration) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: headerTimeout, IdleTimeout: idleTimeout}
 }
 
 // splitList splits a comma-separated flag into trimmed non-empty entries.

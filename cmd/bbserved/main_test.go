@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -56,6 +58,51 @@ func post(t *testing.T, base, path string, payload any) *http.Response {
 		t.Fatalf("close body: %v", err)
 	}
 	return resp
+}
+
+// TestSlowHeaderDisconnected is the slow-client guard: a client that sends
+// half a request line and then stalls is disconnected once the header
+// timeout passes, instead of holding the connection open.
+func TestSlowHeaderDisconnected(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := newHTTPServer(http.NotFoundHandler(), timeout)
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- hs.Serve(ln) }()
+	defer func() {
+		if err := hs.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+		if err := <-serveErr; !errors.Is(err, http.ErrServerClosed) {
+			t.Errorf("serve: %v", err)
+		}
+	}()
+
+	// The server starts its header clock after accepting, so no earlier
+	// than start.
+	start := time.Now()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close() //bbvet:ignore errcheck (the server has already closed it)
+	if _, err := conn.Write([]byte("POST /v1/sol")); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(start.Add(10 * timeout)); err != nil {
+		t.Fatal(err)
+	}
+	// The server may answer 400 before it closes; either way the read
+	// must end at EOF, not at the client's own deadline.
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection not closed %v after a half request line (header timeout %v): %v", time.Since(start), timeout, err)
+	}
+	if elapsed := time.Since(start); elapsed < timeout {
+		t.Fatalf("disconnected after %v, before the %v header timeout", elapsed, timeout)
+	}
 }
 
 // TestDaemonLifecycle is the end-to-end CLI test: bbserved on a random

@@ -76,8 +76,12 @@ func testConfig() Config {
 
 // TestDistributedMatchesSequential is the acceptance invariant: with 1, 2
 // and 4 workers the distributed solve must return bit-identical
-// Cost/Optimal/Guarantee to single-node core.Solve across the pinned
-// suite, for exact and inexact branching rules alike.
+// Cost/Optimal/Guarantee/Reason to single-node core.Solve across the pinned
+// suite, for exact and inexact branching rules alike. The reference solve
+// runs on the canonical relabeling, because that is the graph the fleet
+// searches and an inexact rule such as BranchDF can answer differently
+// under another task numbering. Exact rules must also reach the cost
+// core.Solve finds on the original numbering.
 func TestDistributedMatchesSequential(t *testing.T) {
 	combos := []core.Params{
 		{},
@@ -90,10 +94,24 @@ func TestDistributedMatchesSequential(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			seed := 4000 + int64(i)
 			g, plat := pinnedInstance(t, seed)
+			canon, _, err := g.Canonical()
+			if err != nil {
+				t.Fatal(err)
+			}
 			for ci, p := range combos {
-				seq, err := core.Solve(g, plat, p)
+				seq, err := core.Solve(canon, plat, p)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if p.Branching.Exact() {
+					orig, err := core.Solve(g, plat, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if orig.Cost != seq.Cost {
+						t.Fatalf("seed=%d combo=%d: exact cost %d on the original numbering, %d on the canonical one",
+							seed, ci, orig.Cost, seq.Cost)
+					}
 				}
 				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 				res, err := fleet.Solve(ctx, g, plat, p)

@@ -1,13 +1,12 @@
 package taskgraph
 
 import (
-	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash"
-	"sort"
+	"slices"
 )
 
 // Fingerprint is a relabeling-invariant 256-bit digest of a task graph:
@@ -20,11 +19,13 @@ import (
 // The digest is NOT a proof of isomorphism. It is built from 1-WL color
 // refinement (see Graph.Fingerprint), and 1-WL is incomplete: structurally
 // different graphs whose refinement histories coincide collide
-// deterministically, not with cryptographic-hash probability. Use the
-// fingerprint for grouping, binning and fast negative checks; anything that
-// must never confuse two distinct instances (such as a result cache) has to
-// compare exact canonical encodings — Canonical provides the canonical form
-// whose codec bytes serve as that exact identity.
+// deterministically, not with cryptographic-hash probability. The
+// refinement's per-task signatures are 128-bit non-cryptographic mixes, so
+// a crafted graph can also make two of them collide. Use the fingerprint
+// for grouping, binning and fast negative checks; anything that must never
+// confuse two distinct instances (such as a result cache) has to compare
+// exact canonical encodings — Canonical provides the canonical form whose
+// codec bytes serve as that exact identity.
 type Fingerprint [sha256.Size]byte
 
 // String renders the fingerprint as lowercase hex.
@@ -36,14 +37,15 @@ func (f Fingerprint) IsZero() bool { return f == Fingerprint{} }
 // Fingerprint computes the canonical digest of the graph.
 //
 // The construction is a Weisfeiler–Leman style color refinement adapted to
-// attributed DAGs. Every task starts with a signature hashing its scalar
-// tuple and degrees; each refinement round rehashes a task's signature with
-// the sorted multisets of its predecessor and successor signatures (each
-// combined with the connecting channel's attributes). After depth(G) rounds
-// a signature encodes the task's entire ancestor and descendant structure.
-// The final digest hashes the sorted multiset of task signatures together
-// with the sorted multiset of arc signatures — both multisets are invariant
-// under any permutation of task IDs by construction.
+// attributed DAGs (see refinedSignatures): after depth(G) rounds a task's
+// 128-bit signature encodes its entire ancestor and descendant structure.
+// The digest is one SHA-256, tagged taskgraph/fingerprint/v2, over the
+// sorted multiset of task signatures followed by the sorted multiset of arc
+// signatures (an arc's endpoint signatures and channel attributes) — both
+// multisets are invariant under any permutation of task IDs by
+// construction. The tag names the construction: a fingerprint from a build
+// with another tag (v1 hashed 256-bit SHA-256 signatures) never equals one
+// from this build.
 //
 // Tasks that still share a signature after full refinement occupy
 // either genuinely symmetric positions or positions 1-WL cannot tell apart.
@@ -51,104 +53,153 @@ func (f Fingerprint) IsZero() bool { return f == Fingerprint{} }
 // is the known incompleteness of color refinement, which is why the digest
 // must not be used as an exact identity (see the Fingerprint type docs).
 func (g *Graph) Fingerprint() Fingerprint {
-	n := len(g.tasks)
-	sig := g.refinedSignatures()
-
-	h := sha256.New()
-	put(h, []byte("taskgraph/fingerprint/v1"))
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(n))
-	put(h, buf[:])
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(g.list)))
-	put(h, buf[:])
-	writeSortedSigs(h, sig)
-
-	arcs := make([]Fingerprint, 0, len(g.list))
+	// sigs holds the task signatures, then one signature per arc.
+	sigs := g.refinedSignatures()
+	n := len(sigs)
 	for _, c := range g.list {
-		arcs = append(arcs, hashRecord('A',
-			binary.LittleEndian.Uint64(sig[c.Src][:8]), binary.LittleEndian.Uint64(sig[c.Src][8:16]),
-			binary.LittleEndian.Uint64(sig[c.Dst][:8]), binary.LittleEndian.Uint64(sig[c.Dst][8:16]),
-			uint64(c.Size), uint64(c.Arrival), uint64(c.Deadline)))
+		s, d := sigs[c.Src], sigs[c.Dst]
+		sigs = append(sigs, mix(roleArc, s[0], s[1], d[0], d[1], uint64(c.Size), uint64(c.Arrival), uint64(c.Deadline)))
 	}
-	writeSortedSigs(h, arcs)
+	slices.SortFunc(sigs[:n], signature.compare)
+	slices.SortFunc(sigs[n:], signature.compare)
 
-	var out Fingerprint
-	h.Sum(out[:0])
-	return out
+	buf := make([]byte, 0, 40+16*len(sigs))
+	buf = append(buf, "taskgraph/fingerprint/v2"...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(g.list)))
+	for _, s := range sigs {
+		buf = binary.LittleEndian.AppendUint64(buf, s[0])
+		buf = binary.LittleEndian.AppendUint64(buf, s[1])
+	}
+	return sha256.Sum256(buf)
+}
+
+// signature is a 128-bit refinement color: two 64-bit lanes, each its own
+// hash function of the same input (see mix), so two inputs share a
+// signature only when both lanes collide.
+type signature [2]uint64
+
+func (s signature) compare(t signature) int {
+	if c := cmp.Compare(s[0], t[0]); c != 0 {
+		return c
+	}
+	return cmp.Compare(s[1], t[1])
+}
+
+// Record roles. Every mixed record starts with its role, so records of
+// different kinds live in disjoint hash domains.
+const (
+	roleTask uint64 = iota + 1 // a task's ⟨c, φ, d, T⟩ and degrees
+	roleSelf                   // a task's previous-round signature
+	rolePred                   // an incoming arc's channel ⟨m, a, d⟩
+	roleSucc                   // an outgoing arc's channel ⟨m, a, d⟩
+	roleArc                    // an arc in the Fingerprint digest
+)
+
+// mix hashes a role-tagged record of fields into a signature. Each lane is
+// the chain h ← fmix64(h ⊕ x) over the role and the fields, started from
+// its own seed; fmix64 is MurmurHash3's full-avalanche finalizer, so each
+// input bit flips every output bit with probability close to 1/2.
+func mix(role uint64, fields ...uint64) signature {
+	a := fmix64(0x9e3779b97f4a7c15 ^ role)
+	b := fmix64(0xd1b54a32d192ed03 ^ role)
+	for _, x := range fields {
+		a, b = fmix64(a^x), fmix64(b^x)
+	}
+	return signature{a, b}
+}
+
+func fmix64(k uint64) uint64 {
+	k ^= k >> 33
+	k *= 0xff51afd7ed558ccd
+	k ^= k >> 33
+	k *= 0xc4ceb9fe1a85ec53
+	k ^= k >> 33
+	return k
 }
 
 // refinedSignatures runs the WL color refinement to its fixpoint bound and
-// returns the final per-task signatures. The signature of a task depends
-// only on its attributes and its position in the graph, never on its ID, so
-// the slice read as a multiset is relabeling-invariant. It is shared by
-// Fingerprint (which hashes the multiset) and Canonical (which sorts tasks
-// by it).
-func (g *Graph) refinedSignatures() []Fingerprint {
-	n := len(g.tasks)
-	sig := make([]Fingerprint, n)
+// returns the final per-task signatures. A task starts from the mix of its
+// ⟨c, φ, d, T⟩ tuple and degrees. Each round first remixes every signature
+// under roleSelf, then sets a task's new signature to the lane-wise sum of
+// its own remix and one term per incident arc: the neighbour's remix joined
+// with the arc's channel ⟨m, a, d⟩, folded once per direction before the
+// rounds. Addition ignores the order of a task's arcs, so no neighbour list
+// is sorted. The signature of a task depends only on its attributes and its
+// position in the graph, never on its ID, so the slice read as a multiset
+// is relabeling-invariant. It is shared by Fingerprint (which hashes the
+// multiset) and Canonical (which sorts tasks by it).
+func (g *Graph) refinedSignatures() []signature {
+	cur := make([]signature, len(g.tasks))
+	next := make([]signature, len(g.tasks))
 	for i := range g.tasks {
 		t := &g.tasks[i]
-		sig[i] = hashRecord('T',
-			uint64(t.Exec), uint64(t.Phase), uint64(t.Deadline), uint64(t.Period),
+		cur[i] = mix(roleTask, uint64(t.Exec), uint64(t.Phase), uint64(t.Deadline), uint64(t.Period),
 			uint64(len(g.preds[i])), uint64(len(g.succs[i])))
 	}
-
-	for r := 0; r < g.refinementRounds(); r++ {
-		next := make([]Fingerprint, n)
-		var neigh []Fingerprint
-		for i := range sig {
-			h := sha256.New()
-			put(h, []byte{'R'})
-			put(h, sig[i][:])
-
-			neigh = neigh[:0]
-			for _, p := range g.preds[i] {
-				neigh = append(neigh, g.arcSig('P', sig[p], p, TaskID(i)))
-			}
-			writeSortedSigs(h, neigh)
-
-			neigh = neigh[:0]
-			for _, s := range g.succs[i] {
-				neigh = append(neigh, g.arcSig('S', sig[s], TaskID(i), s))
-			}
-			writeSortedSigs(h, neigh)
-
-			h.Sum(next[i][:0])
-		}
-		sig = next
+	// pred[k] keys arc k as its destination's incoming arc, succ[k] as its
+	// source's outgoing one.
+	pred := make([]signature, len(g.list))
+	succ := make([]signature, len(g.list))
+	for k, c := range g.list {
+		pred[k] = mix(rolePred, uint64(c.Size), uint64(c.Arrival), uint64(c.Deadline))
+		succ[k] = mix(roleSucc, uint64(c.Size), uint64(c.Arrival), uint64(c.Deadline))
 	}
-	return sig
+
+	self := mix(roleSelf)
+	for r := g.refinementRounds(); r > 0; r-- {
+		for i, s := range cur {
+			// mix(roleSelf, s[0], s[1]), written out: this loop is the hot one.
+			cur[i] = signature{fmix64(fmix64(self[0]^s[0]) ^ s[1]), fmix64(fmix64(self[1]^s[0]) ^ s[1])}
+			next[i] = cur[i]
+		}
+		for k, c := range g.list {
+			next[c.Dst].add(cur[c.Src].join(pred[k]))
+			next[c.Src].add(cur[c.Dst].join(succ[k]))
+		}
+		cur, next = next, cur
+	}
+	return cur
 }
+
+// join mixes a neighbour's remixed signature with an arc key, lane by lane.
+func (s signature) join(key signature) signature {
+	return signature{fmix64(s[0] ^ key[0]), fmix64(s[1] ^ key[1])}
+}
+
+func (s *signature) add(t signature) { s[0] += t[0]; s[1] += t[1] }
 
 // Canonical returns a copy of the graph relabeled into canonical task
 // order, together with the permutation that produced it (perm[old] = new).
-// Tasks are ordered by their fully refined WL signatures, so for graphs
-// whose refinement separates all non-symmetric tasks — the overwhelmingly
-// common case on attributed scheduling DAGs — any two relabelings of the
-// same instance canonicalize to byte-identical codec encodings. Those
-// canonical bytes are an *exact* identity: unlike Fingerprint, two
-// structurally different graphs can never share them.
+// Tasks are ordered by their fully refined 128-bit WL signatures, so for
+// graphs whose refinement separates all non-symmetric tasks — the
+// overwhelmingly common case on attributed scheduling DAGs — any two
+// relabelings of the same instance canonicalize to byte-identical codec
+// encodings. Those canonical bytes are an *exact* identity: unlike
+// Fingerprint, two structurally different graphs can never share them.
 //
-// Ties between tasks that WL refinement cannot distinguish are broken by
-// the original task ID. When such tied tasks are interchangeable
-// (automorphic) the canonical bytes are unaffected; when they are distinct
-// positions 1-WL merely fails to separate, two relabelings of one graph may
-// canonicalize differently. That only costs a missed match for consumers
-// keying on canonical bytes — never a false one.
+// Ties between tasks that WL refinement cannot distinguish, or whose
+// signatures collide, are broken by the original task ID. When such tied
+// tasks are interchangeable (automorphic) the canonical bytes are
+// unaffected; otherwise two relabelings of one graph may canonicalize
+// differently. That only costs a missed match for consumers keying on
+// canonical bytes — never a false one. The order is a function of the
+// signature construction: a build with a different refinement numbers the
+// same graph differently, so canonical bytes (and keys derived from them)
+// only match between builds that share it.
 func (g *Graph) Canonical() (*Graph, []TaskID, error) {
-	n := g.NumTasks()
 	sig := g.refinedSignatures()
-	order := make([]int, n)
+	order := make([]TaskID, len(sig))
 	for i := range order {
-		order[i] = i
+		order[i] = TaskID(i)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if c := bytes.Compare(sig[order[a]][:], sig[order[b]][:]); c != 0 {
-			return c < 0
+	slices.SortFunc(order, func(a, b TaskID) int {
+		if c := sig[a].compare(sig[b]); c != 0 {
+			return c
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b)
 	})
-	perm := make([]TaskID, n)
+	perm := make([]TaskID, len(order))
 	for rank, old := range order {
 		perm[old] = TaskID(rank)
 	}
@@ -168,45 +219,6 @@ func (g *Graph) refinementRounds() int {
 		return len(g.tasks)
 	}
 	return g.Depth()
-}
-
-// arcSig combines a neighbour's signature with the attributes of the
-// connecting channel, so refinement distinguishes neighbours reached over
-// different message sizes or message windows.
-func (g *Graph) arcSig(tag byte, neighbour Fingerprint, src, dst TaskID) Fingerprint {
-	c, _ := g.Channel(src, dst)
-	return hashRecord(tag,
-		binary.LittleEndian.Uint64(neighbour[:8]), binary.LittleEndian.Uint64(neighbour[8:16]),
-		binary.LittleEndian.Uint64(neighbour[16:24]), binary.LittleEndian.Uint64(neighbour[24:]),
-		uint64(c.Size), uint64(c.Arrival), uint64(c.Deadline))
-}
-
-func hashRecord(tag byte, fields ...uint64) Fingerprint {
-	h := sha256.New()
-	put(h, []byte{tag})
-	var buf [8]byte
-	for _, f := range fields {
-		binary.LittleEndian.PutUint64(buf[:], f)
-		put(h, buf[:])
-	}
-	var out Fingerprint
-	h.Sum(out[:0])
-	return out
-}
-
-// put feeds b to the hash; hash writes are defined to never fail.
-func put(h hash.Hash, b []byte) { _, _ = h.Write(b) }
-
-// writeSortedSigs hashes a multiset of signatures order-independently by
-// sorting a copy before feeding it to h.
-func writeSortedSigs(h hash.Hash, sigs []Fingerprint) {
-	sorted := append([]Fingerprint(nil), sigs...)
-	sort.Slice(sorted, func(i, j int) bool {
-		return bytes.Compare(sorted[i][:], sorted[j][:]) < 0
-	})
-	for i := range sorted {
-		put(h, sorted[i][:])
-	}
 }
 
 // Relabel returns a copy of the graph with task IDs permuted: old task i

@@ -240,3 +240,91 @@ func TestRelabelRejectsBadPermutations(t *testing.T) {
 		}
 	}
 }
+
+func mustJSON(t *testing.T, g *Graph) []byte {
+	t.Helper()
+	b, err := json.Marshal(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// FuzzCanonical checks Canonical on every graph the JSON codec accepts: it
+// never fails, it returns exactly Relabel(g, perm), it is idempotent, and
+// when refinement separates every task, relabeling the input by a
+// permutation drawn from seed leaves the canonical bytes unchanged.
+func FuzzCanonical(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
+		var g Graph
+		if json.Unmarshal(data, &g) != nil {
+			return
+		}
+		canon, perm, err := g.Canonical()
+		if err != nil {
+			t.Fatalf("Canonical: %v", err)
+		}
+		base := mustJSON(t, canon)
+		want, err := Relabel(&g, perm)
+		if err != nil {
+			t.Fatalf("Canonical returned a bad permutation %v: %v", perm, err)
+		}
+		if !bytes.Equal(mustJSON(t, want), base) {
+			t.Fatalf("canonical graph is not Relabel(g, perm)")
+		}
+		again, _, err := canon.Canonical()
+		if err != nil {
+			t.Fatalf("Canonical(canonical): %v", err)
+		}
+		if !bytes.Equal(mustJSON(t, again), base) {
+			t.Fatalf("Canonical is not idempotent")
+		}
+
+		if tiedTasks(classes(g.refinedSignatures())) > 0 {
+			return
+		}
+		perm = randomPerm(rand.New(rand.NewSource(seed)), g.NumTasks())
+		rg, err := Relabel(&g, perm)
+		if err != nil {
+			t.Fatalf("Relabel: %v", err)
+		}
+		rcanon, _, err := rg.Canonical()
+		if err != nil {
+			t.Fatalf("Canonical(relabeled): %v", err)
+		}
+		if !bytes.Equal(mustJSON(t, rcanon), base) {
+			t.Fatalf("canonical bytes differ under relabeling perm=%v", perm)
+		}
+	})
+}
+
+// benchGraphs returns 64 random 14-task DAGs, the size of the serving
+// benchmark's m=2 instances.
+func benchGraphs() []*Graph {
+	rng := rand.New(rand.NewSource(67))
+	gs := make([]*Graph, 64)
+	for i := range gs {
+		gs[i] = randomDAG(rng, 14)
+	}
+	return gs
+}
+
+func BenchmarkCanonical(b *testing.B) {
+	gs := benchGraphs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := gs[i%len(gs)].Canonical(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkFingerprint(b *testing.B) {
+	gs := benchGraphs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = gs[i%len(gs)].Fingerprint()
+	}
+}

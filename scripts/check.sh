@@ -48,8 +48,10 @@
 # hotalloc, and wireschema passes) over the whole module under the
 # strict baseline — any finding not recorded in
 # internal/check/testdata/bbvet.baseline fails, and so does any stale
-# baseline entry, hotalloc.allow entry, or wireschema.snap drift — plus
-# the race and bbdebug builds of the concurrency-bearing layers.
+# baseline entry, hotalloc.allow entry, or wireschema.snap drift — a
+# 10-second native fuzz run of taskgraph.Canonical over its committed seed
+# corpus (internal/taskgraph/testdata/fuzz), plus the race and bbdebug
+# builds of the concurrency-bearing layers.
 
 set -eu
 
@@ -127,6 +129,9 @@ if [ "${1:-}" = "vet" ]; then
         echo "FAIL: $snap is stale; regenerate with: go run ./cmd/bbvet -write-wireschema ./..." >&2
         exit 1
     }
+
+    echo "==> go test -fuzz FuzzCanonical -fuzztime 10s ./internal/taskgraph"
+    go test -run '^$' -fuzz '^FuzzCanonical$' -fuzztime 10s ./internal/taskgraph
 
     echo "==> go test -race ./internal/dist ./internal/server ./internal/check"
     go test -race ./internal/dist ./internal/server ./internal/check
