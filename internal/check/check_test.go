@@ -146,6 +146,10 @@ func TestLayeringTransposeFixture(t *testing.T) {
 	runFixture(t, LayeringAnalyzer, "testdata/layering/transpose", "repro/internal/transpose", false)
 }
 
+func TestLayeringJSONReadFixture(t *testing.T) {
+	runFixture(t, LayeringAnalyzer, "testdata/layering/jsonread", "repro/internal/jsonread", false)
+}
+
 func TestLayeringUnknownPackageFixture(t *testing.T) {
 	runFixture(t, LayeringAnalyzer, "testdata/layering/unknown", "repro/internal/mystery", false)
 }

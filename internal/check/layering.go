@@ -6,9 +6,10 @@ import (
 
 // LayeringAnalyzer enforces the repository's package DAG. The intent:
 //
-//   - internal/taskgraph and internal/stats are the foundation and import
-//     nothing module-internal; internal/platform sits directly above and
-//     may import only taskgraph (for the Time type).
+//   - internal/taskgraph and internal/stats are the foundation; stats
+//     imports nothing module-internal, and taskgraph only internal/jsonread,
+//     the stdlib-only JSON reader beneath its codec. internal/platform sits
+//     directly above and may import only taskgraph (for the Time type).
 //   - internal/sched is the scheduling substrate; the search layers
 //     (core, bruteforce, edf, listsched, ...) build on it.
 //   - internal/core — the branch-and-bound engine — must never depend on
@@ -44,7 +45,11 @@ var layerAllowed = map[string][]string{
 	// table behind duplicate detection — pure data structure (stdlib
 	// sync only), keyed by opaque 128-bit signatures, so it sits at the
 	// bottom beneath the search layers that probe it.
-	"internal/taskgraph": {},
+	// internal/jsonread is the one-pass JSON reader the taskgraph codec and
+	// the server's request decoders are built on — stdlib only, it knows
+	// no wire type, so it sits beneath the task model itself.
+	"internal/jsonread":  {},
+	"internal/taskgraph": {"internal/jsonread"},
 	"internal/stats":     {},
 	"internal/check":     {},
 	"internal/journal":   {},
@@ -134,8 +139,9 @@ var layerAllowed = map[string][]string{
 	"internal/server": {
 		"internal/analysis", "internal/core", "internal/deadline", "internal/dist",
 		"internal/exp", "internal/faults", "internal/gen", "internal/grid",
-		"internal/hetero", "internal/listsched", "internal/peer", "internal/platform",
-		"internal/portfolio", "internal/rescue", "internal/sched", "internal/taskgraph",
+		"internal/hetero", "internal/jsonread", "internal/listsched", "internal/peer",
+		"internal/platform", "internal/portfolio", "internal/rescue", "internal/sched",
+		"internal/taskgraph",
 	},
 }
 

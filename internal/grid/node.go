@@ -37,9 +37,9 @@ type NodeConfig struct {
 	// (default 75s, above the server's max solve budget).
 	FlightTTL time.Duration
 
-	// FetchWait is the default patience of a read-through get blocked on
-	// an open flight (default 10s); a request context's deadline wins
-	// when shorter.
+	// FetchWait is the default patience of a read-through get, or of the
+	// owner's own request (Join), blocked on an open flight (default
+	// 10s); a request context's deadline wins when shorter.
 	FetchWait time.Duration
 
 	// ProbeInterval is how often down peers are re-probed (default 2s).
@@ -70,9 +70,13 @@ type NodeConfig struct {
 // From the owning replica's side: a get for a present key returns it; a
 // get for an absent key with no open flight opens one and grants the
 // fill to the caller; a get finding an open flight blocks (up to the
-// caller's patience) for the fill, then serves it. Racing fills are
-// benign by construction — cached bodies are deterministic functions of
-// the key, so last-put-wins never changes observable bytes.
+// caller's patience) for the fill, then serves it. The owner's own
+// requests take part in the same table (Join): a local solve opens the
+// key's flight, so peers wait for it, and a local request finding an open
+// flight waits for it too. One key therefore has one flight on its owner,
+// whichever side asks first. Racing fills are benign by construction —
+// cached bodies are deterministic functions of the key, so last-put-wins
+// never changes observable bytes.
 type Node struct {
 	cfg  NodeConfig
 	self string
@@ -98,7 +102,8 @@ type Node struct {
 	ringRebuilds  atomic.Int64
 }
 
-// flight is one open single-flight fill claim on an owned key.
+// flight is one open single-flight claim on an owned key: a fill granted
+// to a peer, or a solve on the owner itself.
 type flight struct {
 	filler   string // replica granted the fill, for diagnostics
 	deadline time.Time
@@ -361,48 +366,113 @@ func (n *Node) handleGet(w http.ResponseWriter, r *http.Request) {
 	n.mu.Lock()
 	fl := n.flights[req.Key]
 	if fl == nil || now.After(fl.deadline) {
+		// A flight stores its body before it leaves the table, so one that
+		// landed since the miss above is in the store now.
+		if body, ok := store.Get(req.Key); ok {
+			n.mu.Unlock()
+			peer.WriteJSON(w, GetResponse{Found: true, Body: body})
+			return
+		}
 		// No live flight: grant the fill claim to the caller. An expired
 		// flight is replaced — its filler died or forgot; the new claim
 		// races any zombie fill harmlessly.
-		n.flights[req.Key] = &flight{
+		n.replaceLocked(req.Key, fl, &flight{
 			filler:   req.From,
 			deadline: now.Add(n.cfg.FlightTTL),
 			done:     make(chan struct{}),
-		}
+		})
 		n.mu.Unlock()
 		n.fillsGranted.Add(1)
 		peer.WriteJSON(w, GetResponse{Fill: true})
 		return
 	}
-	ch := fl.done
 	n.mu.Unlock()
 
-	// A fill is in flight: block for it up to the caller's patience
-	// (capped by the claim's remaining TTL).
+	// A fill or an owner-side solve is in flight: block for it up to the
+	// caller's patience (capped by the claim's remaining TTL). If it lands
+	// without a body (its solver errored) or patience runs out with the
+	// claim still open, the caller solves itself and races the slow
+	// flight; first fill-back wins and both bodies are identical by
+	// construction.
 	n.flightWaits.Add(1)
 	wait := n.cfg.FetchWait
 	if req.WaitMS > 0 {
 		wait = time.Duration(req.WaitMS) * time.Millisecond
 	}
-	if rem := time.Until(fl.deadline); rem < wait {
-		wait = rem
+	if n.wait(r.Context(), fl, wait) != nil {
+		return // the caller is gone
 	}
-	timer := time.NewTimer(wait)
+	if body, ok := store.Get(req.Key); ok {
+		peer.WriteJSON(w, GetResponse{Found: true, Body: body})
+		return
+	}
+	peer.WriteJSON(w, GetResponse{Fill: true})
+}
+
+// Join enters an owner-side solve of key into the flight table that also
+// holds the fill claims granted to peers, so the owner runs one flight per
+// key whichever side asks first. With no live flight it registers one and
+// returns its done func, to be called once the solve's body is stored (or
+// the solve failed); a peer get meanwhile waits for it instead of being
+// granted a claim. With a live flight — a peer's claim or another local
+// solve — it waits for that flight, bounded by ctx, FetchWait and the
+// claim's deadline, and returns a nil done: the caller re-reads its cache
+// and solves only on a miss. The error is ctx's, when ctx ends the wait.
+func (n *Node) Join(ctx context.Context, key string) (done func(), err error) {
+	now := time.Now()
+	n.mu.Lock()
+	fl := n.flights[key]
+	if fl == nil || now.After(fl.deadline) {
+		own := &flight{filler: n.self, deadline: now.Add(n.cfg.FlightTTL), done: make(chan struct{})}
+		n.replaceLocked(key, fl, own)
+		n.mu.Unlock()
+		return func() { n.land(key, own) }, nil
+	}
+	n.mu.Unlock()
+	n.flightWaits.Add(1)
+	return nil, n.wait(ctx, fl, n.cfg.FetchWait)
+}
+
+// replaceLocked installs fl for key in place of old (nil or expired).
+// Whoever removes a flight from the table closes it, so a flight closes
+// exactly once whether its solve, a fill-back or its replacement ends it.
+// Callers hold n.mu.
+func (n *Node) replaceLocked(key string, old, fl *flight) {
+	if old != nil {
+		close(old.done)
+	}
+	n.flights[key] = fl
+}
+
+// land removes fl from the table, and closes it, unless a fill-back or a
+// replacement already did.
+func (n *Node) land(key string, fl *flight) {
+	n.mu.Lock()
+	mine := n.flights[key] == fl
+	if mine {
+		delete(n.flights, key)
+	}
+	n.mu.Unlock()
+	if mine {
+		close(fl.done)
+	}
+}
+
+// wait blocks until fl lands or patience runs out, capped by the claim's
+// remaining TTL; it returns ctx's error if ctx ends first.
+func (n *Node) wait(ctx context.Context, fl *flight, patience time.Duration) error {
+	if rem := time.Until(fl.deadline); rem < patience {
+		patience = rem
+	}
+	timer := time.NewTimer(patience)
 	defer timer.Stop()
 	select {
-	case <-ch:
-		if body, ok := store.Get(req.Key); ok {
-			peer.WriteJSON(w, GetResponse{Found: true, Body: body})
-			return
-		}
-		// The flight completed without a body (filler errored): let the
-		// caller solve it.
-		peer.WriteJSON(w, GetResponse{Fill: true})
+	case <-fl.done:
+		return nil
 	case <-timer.C:
-		// Patience exhausted with the claim still open: the caller races
-		// the slow filler; first fill-back wins and both bodies are
-		// identical by construction.
-		peer.WriteJSON(w, GetResponse{Fill: true})
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
@@ -413,8 +483,6 @@ func (n *Node) handlePut(w http.ResponseWriter, r *http.Request) {
 	}
 	n.mu.Lock()
 	store := n.store
-	fl := n.flights[req.Key]
-	delete(n.flights, req.Key)
 	n.mu.Unlock()
 	stored := false
 	if store != nil && req.Key != "" && len(req.Body) > 0 {
@@ -422,6 +490,12 @@ func (n *Node) handlePut(w http.ResponseWriter, r *http.Request) {
 		stored = true
 		n.fillBacksRecv.Add(1)
 	}
+	// Land the flight only after the body is stored, so that whoever finds
+	// the flight gone finds the body.
+	n.mu.Lock()
+	fl := n.flights[req.Key]
+	delete(n.flights, req.Key)
+	n.mu.Unlock()
 	if fl != nil {
 		close(fl.done)
 	}

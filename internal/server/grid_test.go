@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -32,6 +33,13 @@ type replica struct {
 // listeners. mut, when non-nil, adjusts each replica's Config (e.g. to
 // install a counting solveFn after New).
 func startGridFleet(t *testing.T, n int, mut func(i int, s *Server)) []*replica {
+	t.Helper()
+	return startWrappedGridFleet(t, n, mut, nil)
+}
+
+// startWrappedGridFleet is startGridFleet with wrap, when non-nil, in
+// front of each replica's handler (e.g. to hold a peer RPC).
+func startWrappedGridFleet(t *testing.T, n int, mut func(i int, s *Server), wrap func(i int, h http.Handler) http.Handler) []*replica {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	urls := make([]string, n)
@@ -59,7 +67,11 @@ func startGridFleet(t *testing.T, n int, mut func(i int, s *Server)) []*replica 
 		if mut != nil {
 			mut(i, s)
 		}
-		hs := &http.Server{Handler: s.Handler()}
+		h := s.Handler()
+		if wrap != nil {
+			h = wrap(i, h)
+		}
+		hs := &http.Server{Handler: h}
 		done := make(chan struct{})
 		go func(hs *http.Server, ln net.Listener, done chan struct{}) {
 			defer close(done)
@@ -133,6 +145,159 @@ func TestGridPeerFillAndSecondReplicaHit(t *testing.T) {
 	}
 	if got := solves.Load(); got != 1 {
 		t.Fatalf("%d kernel solves across the fleet, want 1", got)
+	}
+}
+
+// ownerFirst returns the replica that owns req's cache key, then the other
+// one of a two-replica fleet.
+func ownerFirst(t *testing.T, reps []*replica, req SolveRequest) (owner, other *replica) {
+	t.Helper()
+	key, _ := requestKey(t, reps[0].s, req)
+	if reps[0].node.Owner(key) == reps[0].url {
+		return reps[0], reps[1]
+	}
+	return reps[1], reps[0]
+}
+
+// served is one response, read off the test goroutine.
+type served struct {
+	status int
+	cache  string
+	body   string
+	err    error
+}
+
+func postAsync(url string, req SolveRequest) <-chan served {
+	out := make(chan served, 1)
+	buf, err := json.Marshal(req)
+	if err != nil {
+		out <- served{err: err}
+		return out
+	}
+	go func() {
+		resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
+		if err != nil {
+			out <- served{err: err}
+			return
+		}
+		body, err := io.ReadAll(resp.Body)
+		_ = resp.Body.Close() //bbvet:ignore errcheck
+		out <- served{status: resp.StatusCode, cache: resp.Header.Get("X-Cache"), body: string(body), err: err}
+	}()
+	return out
+}
+
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestGridOwnerJoinsPeerFill: a peer holds the fill claim for a key and its
+// fill-back is held up on the way to the owner. The owner's own request
+// for the key waits for that fill instead of solving a second time, and
+// is served from its cache once the fill lands.
+func TestGridOwnerJoinsPeerFill(t *testing.T) {
+	var solves atomic.Int64
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	held := make(chan struct{}, 1)
+	reps := startWrappedGridFleet(t, 2, func(i int, s *Server) { countingSolves(s, &solves) },
+		func(i int, h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/grid/v1/put" {
+					held <- struct{}{}
+					<-release
+				}
+				h.ServeHTTP(w, r)
+			})
+		})
+	t.Cleanup(func() { releaseOnce.Do(func() { close(release) }) })
+
+	req := solveReq(testGraph(t, 21), 4, 2000)
+	owner, peer := ownerFirst(t, reps, req)
+	first := <-postAsync(peer.url+"/v1/solve", req)
+	if first.err != nil || first.status != http.StatusOK || first.cache != "miss" {
+		t.Fatalf("peer solve: %+v", first)
+	}
+	<-held // the fill-back is at the owner, held before it is stored
+
+	second := postAsync(owner.url+"/v1/solve", req)
+	waitUntil(t, "the owner to wait on the peer's claim", func() bool { return owner.node.Snapshot().FlightWaits == 1 })
+	releaseOnce.Do(func() { close(release) })
+	got := <-second
+	if got.err != nil || got.status != http.StatusOK {
+		t.Fatalf("owner request: %+v", got)
+	}
+	if got.cache != "hit" {
+		t.Fatalf("owner request X-Cache %q, want hit", got.cache)
+	}
+	if got.body != first.body {
+		t.Fatalf("owner and peer answers differ:\n%s\n%s", got.body, first.body)
+	}
+	if n := solves.Load(); n != 1 {
+		t.Fatalf("%d kernel solves across the fleet, want 1", n)
+	}
+	waitUntil(t, "the fill-back to be acknowledged", func() bool { return peer.node.Snapshot().FillBacksSent == 1 })
+	osnap, psnap := owner.node.Snapshot(), peer.node.Snapshot()
+	if osnap.FillsGranted != 1 || osnap.FlightWaits != 1 || osnap.FillBacksRecv != 1 || psnap.FillBacksSent != 1 || osnap.OpenFlights != 0 {
+		t.Fatalf("owner fills_granted=%d flight_waits=%d fill_backs_received=%d open_flights=%d, peer fill_backs_sent=%d; want 1/1/1/0, 1",
+			osnap.FillsGranted, osnap.FlightWaits, osnap.FillBacksRecv, osnap.OpenFlights, psnap.FillBacksSent)
+	}
+}
+
+// TestGridPeerWaitsOnOwnerSolve is the reverse order: the owner is solving
+// a key when a peer asks for it. The peer's get waits for the owner's
+// solve instead of being granted a fill claim, and the peer is served the
+// owner's body.
+func TestGridPeerWaitsOnOwnerSolve(t *testing.T) {
+	var solves atomic.Int64
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	// Room for unexpected extra solves, so that a failing run reports the
+	// solve count instead of hanging.
+	entered := make(chan struct{}, 4)
+	reps := startGridFleet(t, 2, func(i int, s *Server) {
+		real := s.solveFn
+		s.solveFn = func(ctx context.Context, g *taskgraph.Graph, plat platform.Platform, p core.Params, workers int) (core.Result, error) {
+			solves.Add(1)
+			entered <- struct{}{}
+			<-release
+			return real(ctx, g, plat, p, workers)
+		}
+	})
+	t.Cleanup(func() { releaseOnce.Do(func() { close(release) }) })
+
+	req := solveReq(testGraph(t, 22), 4, 2000)
+	owner, peer := ownerFirst(t, reps, req)
+	first := postAsync(owner.url+"/v1/solve", req)
+	<-entered // the owner's solve holds the key's flight
+
+	second := postAsync(peer.url+"/v1/solve", req)
+	waitUntil(t, "the peer's get to wait on the owner's solve", func() bool { return owner.node.Snapshot().FlightWaits == 1 })
+	releaseOnce.Do(func() { close(release) })
+	a, b := <-first, <-second
+	if a.err != nil || a.status != http.StatusOK || a.cache != "miss" {
+		t.Fatalf("owner request: %+v", a)
+	}
+	if b.err != nil || b.status != http.StatusOK || b.cache != "peer" {
+		t.Fatalf("peer request: %+v", b)
+	}
+	if a.body != b.body {
+		t.Fatalf("owner and peer answers differ:\n%s\n%s", a.body, b.body)
+	}
+	if n := solves.Load(); n != 1 {
+		t.Fatalf("%d kernel solves across the fleet, want 1", n)
+	}
+	osnap, psnap := owner.node.Snapshot(), peer.node.Snapshot()
+	if osnap.FillsGranted != 0 || osnap.FlightWaits != 1 || osnap.FillBacksRecv != 0 || psnap.FillBacksSent != 0 || osnap.OpenFlights != 0 {
+		t.Fatalf("owner fills_granted=%d flight_waits=%d fill_backs_received=%d open_flights=%d, peer fill_backs_sent=%d; want 0/1/0/0, 0",
+			osnap.FillsGranted, osnap.FlightWaits, osnap.FillBacksRecv, osnap.OpenFlights, psnap.FillBacksSent)
 	}
 }
 

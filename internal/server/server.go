@@ -7,12 +7,13 @@
 //
 //   - result cache: request graphs are reduced to canonical form
 //     (taskgraph.Canonical, a relabeling derived from the fingerprint's WL
-//     refinement) and keyed by a digest of the exact canonical encoding
-//     plus platform and solver parameters — label-insensitive sharing
-//     without trusting the WL digest as an identity; schedule placements
-//     are translated back to the requester's numbering before responding.
-//     A sharded LRU serves repeats and singleflight collapses concurrent
-//     identical misses into one solve;
+//     refinement) and keyed by a SHA-256 of the canonical graph's exact
+//     binary encoding (taskgraph.Graph.AppendKey) plus platform and solver
+//     parameters — label-insensitive sharing without trusting the WL digest
+//     as an identity; schedule placements are spliced back into the
+//     requester's numbering before responding (remapBody). A sharded LRU
+//     serves repeats and singleflight collapses concurrent identical
+//     misses into one solve;
 //   - admission control: weighted fair queueing over per-tenant bounded
 //     queues (internal/grid.WFQ); overload yields an immediate 429 with a
 //     live Retry-After computed from the tenant's queue depth and observed
@@ -21,10 +22,15 @@
 //   - graceful drain: Drain stops admitting work while in-flight solves
 //     finish (or hit their budgets), so SIGTERM never truncates a result.
 //
+// Request bodies are decoded in one pass (decode.go, on internal/jsonread)
+// under encoding/json's rules, with no encoding/json on the request path.
+//
 // With a grid.Node configured the server becomes one replica of a cache
 // grid: the canonical key space is consistent-hashed across replicas,
 // cache misses read through the key's owner (single-flight per key
-// fleet-wide), and freshly solved bodies are filled back to the owner.
+// fleet-wide: the owner's own solves and the fill claims it grants share
+// one flight table), and freshly solved bodies are filled back to the
+// owner.
 // /v1/batch solves a set of graphs as one request, collapsing
 // isomorphic members onto a single kernel solve through the same
 // canonical keys.
@@ -33,6 +39,7 @@ package server
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -265,9 +272,14 @@ func (s *Server) Metrics() MetricsSnapshot {
 
 // ---- request plumbing -------------------------------------------------
 
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	return json.NewDecoder(r.Body).Decode(into)
+// decode reads the request body and decodes its first JSON value into
+// into, in one pass (see decode.go).
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, into request) error {
+	body, err := readBody(w, r)
+	if err != nil {
+		return err
+	}
+	return decodeRequest(body, into)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -388,8 +400,9 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, m *endpointMetric
 
 // do routes one cacheable unit of work: local cache, then the key's
 // ring owner (read-through), then a local solve whose body is filled
-// back to the owner. Without a grid — or when this replica owns the
-// key — it is exactly the local singleflight cache.
+// back to the owner. Without a grid it is exactly the local singleflight
+// cache; on the key's owner the solve also holds the node's flight for
+// the key (grid.Node.Join).
 func (s *Server) do(ctx context.Context, key string, fn func() ([]byte, error)) ([]byte, cacheState, error) {
 	n := s.gridNode
 	if n == nil {
@@ -398,6 +411,21 @@ func (s *Server) do(ctx context.Context, key string, fn func() ([]byte, error)) 
 	}
 	owner := n.Owner(key)
 	if owner == "" || owner == n.Self() {
+		// The owner keeps one flight per key for its own solves and the
+		// fill claims it grants peers alike: join a live one and re-read
+		// the cache, or register this solve so peers wait for it.
+		if body, ok := s.cache.Get(key); ok {
+			return body, cacheHit, nil
+		}
+		done, err := n.Join(ctx, key)
+		if err != nil {
+			return nil, cacheMiss, err
+		}
+		if done != nil {
+			defer done()
+		} else if body, ok := s.cache.Get(key); ok {
+			return body, cacheHit, nil
+		}
 		body, hit, err := s.cache.do(ctx, key, fn)
 		return body, stateOf(hit), err
 	}
@@ -424,21 +452,22 @@ func (s *Server) do(ctx context.Context, key string, fn func() ([]byte, error)) 
 
 // canonGraph is a request graph reduced to canonical form for caching:
 // the relabeled graph the solver runs on, the exact cache identity (a
-// digest of the canonical codec bytes — label-insensitive because the
-// canonical order is, yet collision-free unlike the WL fingerprint alone),
-// and the inverse permutation that maps canonical task IDs back to the
-// requester's numbering.
+// SHA-256 of the canonical graph's binary encoding, Graph.AppendKey —
+// label-insensitive because the canonical order is, yet collision-free
+// unlike the WL fingerprint alone), and the inverse permutation that maps
+// canonical task IDs back to the requester's numbering.
 type canonGraph struct {
 	g        *taskgraph.Graph
-	key      string             // hex digest of the canonical encoding
+	key      string             // hex SHA-256 of the canonical binary encoding
 	inv      []taskgraph.TaskID // canonical ID → requester ID
 	identity bool               // request already was in canonical order
 }
 
 // canonicalize computes the canonical form of a request graph. Task names
-// are cleared on the canonical copy: they never affect scheduling or appear
-// in responses, so differently-annotated copies of one instance share a
-// cache line.
+// never affect scheduling or appear in responses, and the binary key leaves
+// them out, so differently-annotated copies of one instance share a cache
+// line. They are still cleared on the canonical copy, because the fleet
+// JSON-encodes it for its workers and journal.
 func canonicalize(g *taskgraph.Graph) (canonGraph, error) {
 	canon, perm, err := g.Canonical()
 	if err != nil {
@@ -447,12 +476,7 @@ func canonicalize(g *taskgraph.Graph) (canonGraph, error) {
 	for id := 0; id < canon.NumTasks(); id++ {
 		canon.TaskPtr(taskgraph.TaskID(id)).Name = ""
 	}
-	raw, err := json.Marshal(canon)
-	if err != nil {
-		return canonGraph{}, err
-	}
-	sum := sha256.Sum256(raw)
-	cg := canonGraph{g: canon, key: fmt.Sprintf("%x", sum), identity: true}
+	cg := canonGraph{g: canon, key: graphKey(canon), identity: true}
 	cg.inv = make([]taskgraph.TaskID, len(perm))
 	for old, canonID := range perm {
 		cg.inv[canonID] = taskgraph.TaskID(old)
@@ -461,6 +485,13 @@ func canonicalize(g *taskgraph.Graph) (canonGraph, error) {
 		}
 	}
 	return cg, nil
+}
+
+// graphKey is the graph half of a cache key: the hex SHA-256 of the graph's
+// binary encoding.
+func graphKey(g *taskgraph.Graph) string {
+	sum := sha256.Sum256(g.AppendKey(make([]byte, 0, 64+32*(g.NumTasks()+g.NumEdges()))))
+	return hex.EncodeToString(sum[:])
 }
 
 // canonPlatform reduces the request platform to canonical form over the
@@ -473,40 +504,6 @@ func canonicalize(g *taskgraph.Graph) (canonGraph, error) {
 // undoes both renumberings.
 func canonPlatform(cg canonGraph, plat platform.Platform) (platform.Platform, []platform.Proc, string) {
 	return hetero.Canonicalize(plat, cg.inv)
-}
-
-// remapBody translates a cached response body — whose schedule placements
-// are in canonical task AND processor numbering — back to the requester's
-// numbering. placements selects the schedule slice inside the decoded
-// response. For identity permutations the cached bytes are returned
-// untouched, so the common path stays zero-copy.
-func remapBody[R any](cg canonGraph, invProc []platform.Proc, body []byte, placements func(*R) []sched.Placement) ([]byte, error) {
-	if (cg.identity && invProc == nil) || body == nil {
-		return body, nil
-	}
-	var resp R
-	if err := json.Unmarshal(body, &resp); err != nil {
-		return nil, fmt.Errorf("remap cached response: %w", err)
-	}
-	pls := placements(&resp)
-	for i := range pls {
-		pls[i].Task = cg.inv[pls[i].Task]
-		if invProc != nil {
-			pls[i].Proc = invProc[pls[i].Proc]
-		}
-	}
-	// Restore the wire order (proc, start): a processor renumbering
-	// perturbs it. Task IDs never tie-break within one processor because
-	// two tasks cannot start together there.
-	if invProc != nil {
-		sort.Slice(pls, func(i, j int) bool {
-			if pls[i].Proc != pls[j].Proc {
-				return pls[i].Proc < pls[j].Proc
-			}
-			return pls[i].Start < pls[j].Start
-		})
-	}
-	return json.Marshal(resp)
 }
 
 // ---- endpoints --------------------------------------------------------
@@ -575,6 +572,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req SolveRequest
 	if err := s.decode(w, r, &req); err != nil {
+		// Decoded before admit, which picks the endpoint from the body:
+		// count the request here, as admit counts it everywhere else.
+		s.metrics["solve"].requests.Add(1)
 		s.badRequest(w, s.metrics["solve"], start, err)
 		return
 	}
@@ -634,7 +634,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	key := solveKey(cg, platKey, params, req, partitioned, budget)
 	body, state, err := s.do(r.Context(), key, s.solveClass(tenant, cg, cp, params, req, partitioned, budget))
 	if err == nil {
-		body, err = remapBody(cg, invProc, body, func(r *SolveResponse) []sched.Placement { return r.Schedule })
+		body, err = remapBody(cg, invProc, body, true)
 	}
 	s.finish(w, m, start, tenant, body, state, err)
 	s.cfg.Logf("solve m=%d n=%d dist=%v hit=%v %v", plat.M, req.Graph.NumTasks(), req.Distributed, state != cacheMiss, time.Since(start))
@@ -655,6 +655,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	m := s.metrics["batch"]
 	var req BatchRequest
 	if err := s.decode(w, r, &req); err != nil {
+		m.requests.Add(1) // decoded before admit, which counts it elsewhere
 		s.badRequest(w, m, start, err)
 		return
 	}
@@ -742,7 +743,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	results := make([]SolveResponse, len(req.Requests))
 	for i := range req.Requests {
-		body, err := remapBody(memberCG[i], memberInvProc[i], bodies[memberKey[i]], func(r *SolveResponse) []sched.Placement { return r.Schedule })
+		body, err := remapBody(memberCG[i], memberInvProc[i], bodies[memberKey[i]], true)
 		if err != nil {
 			s.finish(w, m, start, tenant, nil, cacheBypass, err)
 			return
@@ -819,7 +820,7 @@ func (s *Server) handleAnytime(w http.ResponseWriter, r *http.Request) {
 		return json.Marshal(anytimeResponse(res))
 	})
 	if err == nil {
-		body, err = remapBody(cg, invProc, body, func(r *AnytimeResponse) []sched.Placement { return r.Schedule })
+		body, err = remapBody(cg, invProc, body, false)
 	}
 	s.finish(w, m, start, tenant, body, state, err)
 	s.cfg.Logf("anytime m=%d n=%d hit=%v %v", plat.M, req.Graph.NumTasks(), state != cacheMiss, time.Since(start))
@@ -876,7 +877,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		})
 	})
 	if err == nil {
-		body, err = remapBody(cg, invProc, body, func(r *ListResponse) []sched.Placement { return r.Schedule })
+		body, err = remapBody(cg, invProc, body, false)
 	}
 	s.finish(w, m, start, tenant, body, state, err)
 	s.cfg.Logf("list m=%d n=%d hit=%v %v", plat.M, req.Graph.NumTasks(), state != cacheMiss, time.Since(start))

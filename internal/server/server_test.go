@@ -23,7 +23,7 @@ import (
 
 // testGraph draws one paper-default workload instance (12–16 tasks) with
 // deadlines assigned.
-func testGraph(t *testing.T, seed int64) *taskgraph.Graph {
+func testGraph(t testing.TB, seed int64) *taskgraph.Graph {
 	t.Helper()
 	p := gen.Defaults()
 	g := gen.New(p, seed).Graph()

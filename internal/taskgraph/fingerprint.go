@@ -25,7 +25,7 @@ import (
 // for grouping, binning and fast negative checks; anything that must never
 // confuse two distinct instances (such as a result cache) has to compare
 // exact canonical encodings — Canonical provides the canonical form whose
-// codec bytes serve as that exact identity.
+// binary encoding (AppendKey) serves as that exact identity.
 type Fingerprint [sha256.Size]byte
 
 // String renders the fingerprint as lowercase hex.
@@ -174,9 +174,10 @@ func (s *signature) add(t signature) { s[0] += t[0]; s[1] += t[1] }
 // Tasks are ordered by their fully refined 128-bit WL signatures, so for
 // graphs whose refinement separates all non-symmetric tasks — the
 // overwhelmingly common case on attributed scheduling DAGs — any two
-// relabelings of the same instance canonicalize to byte-identical codec
-// encodings. Those canonical bytes are an *exact* identity: unlike
-// Fingerprint, two structurally different graphs can never share them.
+// relabelings of the same instance canonicalize to byte-identical
+// encodings, JSON codec and AppendKey alike. Those canonical bytes are an
+// *exact* identity: unlike Fingerprint, two structurally different graphs
+// can never share them.
 //
 // Ties between tasks that WL refinement cannot distinguish, or whose
 // signatures collide, are broken by the original task ID. When such tied

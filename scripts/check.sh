@@ -48,10 +48,13 @@
 # hotalloc, and wireschema passes) over the whole module under the
 # strict baseline — any finding not recorded in
 # internal/check/testdata/bbvet.baseline fails, and so does any stale
-# baseline entry, hotalloc.allow entry, or wireschema.snap drift — a
-# 10-second native fuzz run of taskgraph.Canonical over its committed seed
-# corpus (internal/taskgraph/testdata/fuzz), plus the race and bbdebug
-# builds of the concurrency-bearing layers.
+# baseline entry, hotalloc.allow entry, or wireschema.snap drift — three
+# 10-second native fuzz runs over their committed seed corpora
+# (testdata/fuzz in each package): taskgraph.Canonical, the one-pass graph
+# decoder against encoding/json (FuzzGraphJSON), and the one-pass request
+# decoder against encoding/json plus the validation and keying pipeline
+# (FuzzSolveRequest) — plus the race and bbdebug builds of the
+# concurrency-bearing layers.
 
 set -eu
 
@@ -132,6 +135,12 @@ if [ "${1:-}" = "vet" ]; then
 
     echo "==> go test -fuzz FuzzCanonical -fuzztime 10s ./internal/taskgraph"
     go test -run '^$' -fuzz '^FuzzCanonical$' -fuzztime 10s ./internal/taskgraph
+
+    echo "==> go test -fuzz FuzzGraphJSON -fuzztime 10s ./internal/taskgraph"
+    go test -run '^$' -fuzz '^FuzzGraphJSON$' -fuzztime 10s ./internal/taskgraph
+
+    echo "==> go test -fuzz FuzzSolveRequest -fuzztime 10s ./internal/server"
+    go test -run '^$' -fuzz '^FuzzSolveRequest$' -fuzztime 10s ./internal/server
 
     echo "==> go test -race ./internal/dist ./internal/server ./internal/check"
     go test -race ./internal/dist ./internal/server ./internal/check
