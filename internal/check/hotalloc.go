@@ -43,6 +43,8 @@ var hotAllocDefaultFunctions = map[string][]string{
 	"internal/core": {
 		"bound", "boundChild", "beginExpand", "commitLevel", "sweepInto",
 		"coneFor", "restFor", "alloc", "materialize", "tasks", "insertChildren",
+		// The one child generator of every search driver.
+		"generate",
 	},
 	// The transposition table is probed for every generated child and
 	// stored for every expansion of a dedup search; table allocation and

@@ -85,15 +85,3 @@ type Event struct {
 // trace.Recorder). SolveIDA does not emit and rejects an observing
 // Params.
 type Observer func(Event)
-
-// emit reports an event if an observer is installed.
-func (s *solver) emit(kind EventKind, seq, parent uint64, task taskgraph.TaskID,
-	proc platform.Proc, level int32, lb taskgraph.Time) {
-	if s.p.Observer == nil {
-		return
-	}
-	s.p.Observer(Event{
-		Kind: kind, Seq: seq, Parent: parent, Task: task, Proc: proc,
-		Level: level, LB: lb, Incumbent: s.incCost,
-	})
-}

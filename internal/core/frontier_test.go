@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/platform"
@@ -102,6 +103,55 @@ func TestFrontierDeterministic(t *testing.T) {
 		for j := range a.Slices[i].Prefix {
 			if a.Slices[i].Prefix[j] != b.Slices[i].Prefix[j] {
 				t.Fatalf("slice %d placement %d differs between runs", i, j)
+			}
+		}
+	}
+}
+
+// TestFrontierReferenceKernelIdentical pins EnumerateFrontier's output:
+// with the optimized kernel it must return exactly the reference kernel's
+// Frontier — slices, incumbent cost and sequence, seed, exhaustion flag
+// and Stats — over the parameter combinations the expansion accepts, on
+// homogeneous platforms and on one with speed factors and affinities.
+func TestFrontierReferenceKernelIdentical(t *testing.T) {
+	combos := []Params{
+		{},
+		{Selection: SelectLLB},
+		{Selection: SelectFIFO, Branching: BranchBF1},
+		{Bound: BoundLB0},
+		{Bound: BoundNone, Branching: BranchDF},
+		{Branching: BranchBF1},
+		{Branching: BranchDF, Bound: BoundLB0},
+		{BR: 0.25},
+		{Selection: SelectLLB, BR: 0.1},
+		{ChildOrder: ChildrenAsGenerated},
+		{Dedup: true},
+		{UpperBound: UpperBoundFixed, FixedUpperBound: taskgraph.Infinity},
+	}
+	graphs := append(smallWorkloads(t, 3, 41), paperWorkloads(t, 3, 777)...)
+	for gi, g := range graphs {
+		hetero := platform.Platform{M: 3, CommDelay: 1, Speed: []float64{1, 2, 0.5}, Affinity: make([]uint64, g.NumTasks())}
+		for i := range hetero.Affinity {
+			hetero.Affinity[i] = []uint64{7, 3, 6, 5}[i%4]
+		}
+		for pi, plat := range []platform.Platform{platform.New(1), platform.New(2), platform.New(3), hetero} {
+			for _, p := range combos {
+				for _, target := range []int{1, 8, 64} {
+					opt, err := EnumerateFrontier(g, plat, p, target)
+					if err != nil {
+						t.Fatalf("graph %d platform %d %v target %d: %v", gi, pi, p, target, err)
+					}
+					pr := p
+					pr.ReferenceKernel = true
+					ref, err := EnumerateFrontier(g, plat, pr, target)
+					if err != nil {
+						t.Fatalf("graph %d platform %d %v target %d (reference): %v", gi, pi, p, target, err)
+					}
+					if !reflect.DeepEqual(opt, ref) {
+						t.Errorf("graph %d platform %d %v target %d: frontier diverges\noptimized: %+v\nreference: %+v",
+							gi, pi, p, target, opt, ref)
+					}
+				}
 			}
 		}
 	}

@@ -135,7 +135,7 @@ func BenchmarkKernelBound(b *testing.B) {
 }
 
 // BenchmarkKernelArena compares slab allocation against per-vertex heap
-// allocation (the reference path's `&vertex{}`).
+// allocation (`&vertex{}`, what each surviving child cost before the arena).
 func BenchmarkKernelArena(b *testing.B) {
 	b.Run("arena", func(b *testing.B) {
 		var a vertexArena
@@ -162,9 +162,9 @@ func BenchmarkKernelArena(b *testing.B) {
 
 // BenchmarkKernelSolve runs the full solver with the optimized kernel
 // against the in-tree reference path on the same instances. This measures
-// the kernel-structure delta only — both sides share this PR's State-level
-// caching; the seed-versus-now numbers the acceptance gate wants come from
-// scripts/bench.sh, which builds cmd/bbbench at the pre-PR commit.
+// the kernel-structure delta only — both sides share the sched.State field
+// caches. End-to-end comparisons with an earlier commit come from the
+// repository benchmark, `bash cmd/bbperf/bench.sh`, run in both checkouts.
 func BenchmarkKernelSolve(b *testing.B) {
 	deep := kernelGraph(b, 16, 0, 53)
 	wide := kernelGraph(b, 24, 4, 53)

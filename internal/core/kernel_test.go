@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -281,6 +283,43 @@ func TestParallelKernelStress(t *testing.T) {
 			}
 			if err := res.Schedule.Check(); err != nil {
 				t.Fatalf("graph %d ref=%v: invalid schedule: %v", gi, ref, err)
+			}
+		}
+	}
+}
+
+// TestDriversRejectMismatchedPlatform: an affinity table that does not
+// match the graph is an input error for every driver under every
+// upper-bound mode — never a panic or a *PanicError, and always the error
+// Solve reports.
+func TestDriversRejectMismatchedPlatform(t *testing.T) {
+	g := taskgraph.Diamond()
+	plat := platform.Platform{M: 2, CommDelay: 1, Affinity: []uint64{1}}
+	for _, p := range []Params{{}, {UpperBound: UpperBoundFixed, FixedUpperBound: taskgraph.Infinity}} {
+		_, want := Solve(g, plat, p)
+		if want == nil {
+			t.Fatalf("U=%v: Solve accepted %d affinity masks for %d tasks", p.UpperBound, len(plat.Affinity), g.NumTasks())
+		}
+		drivers := []struct {
+			name string
+			run  func() error
+		}{
+			{"SolveParallel", func() error { _, err := SolveParallel(g, plat, ParallelParams{Params: p, Workers: 2}); return err }},
+			{"SolveIDA", func() error { _, err := SolveIDA(g, plat, p); return err }},
+			{"EnumerateFrontier", func() error { _, err := EnumerateFrontier(g, plat, p, 4); return err }},
+		}
+		for _, d := range drivers {
+			err := func() (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						err = fmt.Errorf("panicked: %v", r)
+					}
+				}()
+				return d.run()
+			}()
+			var pe *PanicError
+			if err == nil || errors.As(err, &pe) || err.Error() != want.Error() {
+				t.Errorf("U=%v %s: error %v, want Solve's %q", p.UpperBound, d.name, err, want)
 			}
 		}
 	}

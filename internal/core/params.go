@@ -21,6 +21,16 @@
 // bounding and elimination on a set of active vertices until the set is
 // empty or the selection rule's stop condition fires. Goal vertices never
 // enter the active set; they either become the new incumbent or die.
+//
+// Four drivers share that expansion step and differ only in the selection
+// discipline: Solve (the active set), SolveParallel (a work pool and
+// per-worker stacks), SolveIDA (cost-threshold recursion) and
+// EnumerateFrontier (a breadth-first queue). All four run one kernel
+// (kernel.go): expander.expand materializes a selected vertex and
+// expander.generate branches, bounds and classifies its children. A
+// driver supplies only a policy — the prune limit, goal adoption and the
+// incumbent its events report — and shares one validation preamble
+// (prepare) and, except for the frontier, one result builder (result).
 package core
 
 import (
@@ -357,10 +367,10 @@ type Params struct {
 	DedupTable *transpose.Table
 
 	// ReferenceKernel selects the naive, obviously-correct hot path — a
-	// full ancestor-chain replay per expansion, a full-graph bound sweep
-	// per generated child, and one heap allocation per surviving child —
-	// instead of the optimized kernel (incremental materialization,
-	// cone-bounded bound re-propagation, arena vertex allocation). The two
+	// full ancestor-chain replay per expansion and a full-graph bound sweep
+	// per generated child — instead of the optimized kernel (incremental
+	// materialization, cone-bounded bound re-propagation); both allocate
+	// vertices from the same arena. It applies to every driver. The two
 	// paths produce identical results: same Cost, Optimal/Guarantee flags
 	// and Stats counters, which the differential harness in
 	// internal/fuzzcheck enforces on every campaign. The flag exists as

@@ -7,11 +7,9 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/edf"
 	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
-	"repro/internal/transpose"
 )
 
 // Stats records the search-effort quantities the paper reports, plus the
@@ -82,6 +80,20 @@ type Stats struct {
 	TimedOut bool
 }
 
+// add accumulates o's search counters into s; SolveParallel sums its
+// workers' Stats this way after the join.
+func (s *Stats) add(o Stats) {
+	s.Generated += o.Generated
+	s.Expanded += o.Expanded
+	s.Goals += o.Goals
+	s.PrunedChildren += o.PrunedChildren
+	s.PrunedActive += o.PrunedActive
+	s.DominancePruned += o.DominancePruned
+	s.DedupPruned += o.DedupPruned
+	s.Dropped += o.Dropped
+	s.IncumbentUpdates += o.IncumbentUpdates
+}
+
 // Result is the outcome of one Solve run.
 type Result struct {
 	// Schedule is the best complete schedule found; nil when the search
@@ -110,40 +122,24 @@ type Result struct {
 }
 
 type solver struct {
-	g    *taskgraph.Graph
-	plat platform.Platform
-	p    Params
-	ctx  context.Context
-
-	st  *sched.State
-	bnd *bounder
-	br  *brancher
+	expander
+	ctx context.Context
 	as  activeSet
-	dom *domTable
-	tt  *transpose.Table // duplicate detection (Params.Dedup); nil when off
 
-	incCost  taskgraph.Time
-	incSeq   []sched.Placement // nil ⇒ incumbent is the EDF seed (or nothing)
-	edfInc   *sched.Schedule   // EDF-seeded incumbent schedule, if any
-	extBound taskgraph.Time    // best external cost seen via Link.Best
+	inc      incumbent
+	extBound taskgraph.Time // best external cost seen via Link.Best
 
-	seq           uint64
-	lost          bool // optimum potentially lost to resource bounds
-	provedByBound bool // terminated early because the incumbent met the global bound
-	canceled      bool // terminated early because the context was canceled
-	panicked      *PanicError
+	reason   TermReason // why run returned; TermExhausted unless it stopped early
+	lost     bool       // optimum potentially lost to resource bounds
+	panicked *PanicError
 
 	popAgeSum float64
 	popAgeObs int64
 	deadline  time.Time
-	stats     Stats
 
 	// scratch
-	plBuf    []sched.Placement
-	readyBuf []taskgraph.TaskID
+	kids     []child
 	children []*vertex
-	chainBuf []*vertex
-	arena    vertexArena
 }
 
 // Solve runs the parametrized branch-and-bound algorithm of Figure 1 with
@@ -166,62 +162,24 @@ func SolveContext(ctx context.Context, g *taskgraph.Graph, plat platform.Platfor
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := p.Validate(); err != nil {
-		return Result{}, err
-	}
-	if err := plat.ValidateFor(g.NumTasks()); err != nil {
-		return Result{}, err
-	}
-	if _, err := g.TopoOrder(); err != nil {
-		return Result{}, err
-	}
-	if g.NumTasks() == 0 {
-		return Result{}, fmt.Errorf("core: empty task graph")
-	}
-	if p.Dominance && g.NumTasks() > 63 {
-		return Result{}, fmt.Errorf("core: dominance rule supports at most 63 tasks, graph has %d", g.NumTasks())
-	}
-	if err := checkPrefix(g, plat, p.Prefix); err != nil {
+	inc, err := prepare(g, plat, p, func() error {
+		if p.Dominance && g.NumTasks() > 63 {
+			return fmt.Errorf("core: dominance rule supports at most 63 tasks, graph has %d", g.NumTasks())
+		}
+		return checkPrefix(g, plat, p.Prefix)
+	})
+	if err != nil {
 		return Result{}, err
 	}
 
 	s := &solver{
-		g: g, plat: plat, p: p, ctx: ctx,
-		st:       sched.NewState(g, plat),
-		bnd:      newBounder(g, p.Bound),
-		br:       newBrancher(g, p.Branching),
+		expander: newExpander(g, plat, p, dedupTable(p)),
+		ctx:      ctx,
 		as:       newActiveSet(p.Selection, p.LLBTie),
+		inc:      inc,
 		extBound: taskgraph.Infinity,
 	}
-	if p.Dominance {
-		s.dom = newDomTable(g.NumTasks())
-	}
-	if p.Dedup {
-		s.tt = dedupTable(p)
-		s.st.EnableSignature()
-	}
-
-	// Step 1–2: initialize the incumbent ("best vertex") with the
-	// upper-bound solution cost U.
-	switch p.UpperBound {
-	case UpperBoundEDF:
-		cost, schedule, err := edf.UpperBound(g, plat)
-		if err != nil {
-			return Result{}, err
-		}
-		s.incCost, s.edfInc = cost, schedule
-	case UpperBoundFixed:
-		s.incCost = p.FixedUpperBound
-	case UpperBoundSeeded:
-		seed := p.SeedSchedule
-		if !seed.Complete() || seed.Graph != g {
-			return Result{}, fmt.Errorf("core: seed schedule incomplete or over a different graph")
-		}
-		if err := seed.Check(); err != nil {
-			return Result{}, fmt.Errorf("core: invalid seed schedule: %w", err)
-		}
-		s.incCost, s.edfInc = seed.Lmax(), seed
-	}
+	s.pol = s
 
 	start := time.Now() //bbvet:ignore nondet (wall-clock only feeds Stats.Elapsed and the deadline)
 	if p.Resources.TimeLimit > 0 {
@@ -232,8 +190,14 @@ func SolveContext(ctx context.Context, g *taskgraph.Graph, plat platform.Platfor
 	fillTableStats(&s.stats, s.tt)
 	releaseTable(p, s.tt, s.panicked != nil)
 	s.stats.Elapsed = time.Since(start) //bbvet:ignore nondet (reporting only)
+	if s.popAgeObs > 0 {
+		s.stats.MeanPopAge = s.popAgeSum / float64(s.popAgeObs)
+	}
+	if s.lost && s.reason == TermExhausted {
+		s.reason = TermResourceLoss
+	}
 
-	res, err := s.result()
+	res, err := result(g, plat, p, s.inc, s.stats, s.reason)
 	if err != nil {
 		return Result{}, err
 	}
@@ -246,42 +210,41 @@ func SolveContext(ctx context.Context, g *taskgraph.Graph, plat platform.Platfor
 // runRecovering executes the search, converting a panic anywhere inside it
 // into a recorded *PanicError so one poisoned instance cannot kill a fleet
 // of solver invocations. The scheduling state may be mid-mutation after a
-// panic; result() never touches it (the incumbent is replayed on a fresh
+// panic; result never touches it (the incumbent is replayed on a fresh
 // state), so salvaging the incumbent stays safe.
 func (s *solver) runRecovering() {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panicked = &PanicError{Value: r, Stack: debug.Stack()}
+			s.reason = TermPanic
 		}
 	}()
 	s.run()
 }
 
-// pruneLimit returns the current elimination threshold: a vertex with
-// lb >= pruneLimit cannot improve the incumbent by more than the BR
-// allowance and is discarded. With BR = 0 this is exactly the incumbent
-// cost (E_U/DBAS: prune when L(v) >= L(v_u)). A linked run prunes against
+// limit is the solver's elimination threshold. A linked run prunes against
 // the best cost known anywhere — local incumbent or external broadcast.
-func (s *solver) pruneLimit() taskgraph.Time {
-	c := s.incCost
-	if s.extBound < c {
-		c = s.extBound
-	}
-	return pruneLimitFor(c, s.p.BR)
+func (s *solver) limit() taskgraph.Time {
+	return PruneLimit(min(s.inc.cost, s.extBound), s.p.BR)
 }
 
-// pruneLimitFor applies the BR allowance to an incumbent cost. Shared by
-// the sequential solver and the frontier expansion so the two prune
-// identically.
-func pruneLimitFor(c taskgraph.Time, br float64) taskgraph.Time {
-	if br == 0 || c >= taskgraph.Infinity/2 {
-		return c
+func (s *solver) current() taskgraph.Time { return s.inc.cost }
+
+// adopt installs the goal at the current state as the new best solution
+// when it beats both the incumbent and the external bound, and applies the
+// elimination rule E_U/DBAS to the active set. A linked run announces the
+// improvement immediately — adoption is gated on beating the external
+// bound too, so every publish is a strict global improvement as of the
+// last poll.
+func (s *solver) adopt(st *sched.State, cost taskgraph.Time) bool {
+	if cost >= s.extBound || !s.inc.adopt(st, cost) {
+		return false
 	}
-	abs := c
-	if abs < 0 {
-		abs = -abs
+	s.stats.PrunedActive += int64(s.as.pruneAbove(s.limit()))
+	if l := s.p.Link; l != nil && l.Publish != nil {
+		l.Publish(cost, s.inc.seq)
 	}
-	return c - taskgraph.Time(br*float64(abs))
+	return true
 }
 
 // pollLink refreshes the external bound from the incumbent exchange.
@@ -289,7 +252,7 @@ func (s *solver) pollLink() {
 	if l := s.p.Link; l != nil && l.Best != nil {
 		if b := l.Best(); b < s.extBound {
 			s.extBound = b
-			s.stats.PrunedActive += int64(s.as.pruneAbove(s.pruneLimit()))
+			s.stats.PrunedActive += int64(s.as.pruneAbove(s.limit()))
 		}
 	}
 }
@@ -305,20 +268,20 @@ func (s *solver) run() {
 	s.as.push(root)
 	s.pollLink()
 
-	n := int32(s.g.NumTasks())
 	for iter := 0; s.as.len() > 0; iter++ {
-		if s.p.UseGlobalBound && s.incCost <= s.p.GlobalLowerBound {
-			s.provedByBound = true
+		if s.p.UseGlobalBound && s.inc.cost <= s.p.GlobalLowerBound {
+			s.reason = TermGlobalBound
 			return
 		}
 		if iter&255 == 0 {
 			if s.ctx.Err() != nil {
-				s.canceled = true
+				s.reason = TermCanceled
 				return
 			}
 			//bbvet:ignore nondet (deliberate deadline check; RB.TimeLimit is inherently wall-clock)
 			if !s.deadline.IsZero() && time.Now().After(s.deadline) {
 				s.stats.TimedOut = true
+				s.reason = TermTimeLimit
 				return
 			}
 			s.pollLink()
@@ -329,7 +292,7 @@ func (s *solver) run() {
 		}
 
 		// Step 4–5: select a vertex; stop or skip per the selection rule.
-		if s.p.Selection == SelectLLB && s.as.peekBound() >= s.pruneLimit() {
+		if s.p.Selection == SelectLLB && s.as.peekBound() >= s.limit() {
 			// LLB stop condition: the least lower bound can no longer beat
 			// the incumbent — optimality is proven right here.
 			return
@@ -339,142 +302,30 @@ func (s *solver) run() {
 			s.popAgeSum += float64(s.seq - v.seq)
 			s.popAgeObs++
 		}
-		if v.lb >= s.pruneLimit() {
+		if v.lb >= s.limit() {
 			// Stale vertex: inserted before the incumbent improved.
 			s.stats.PrunedActive++
 			continue
 		}
 
-		// Materialize the vertex's partial schedule: the reference kernel
-		// resets and replays the full ancestor chain, the optimized kernel
-		// diffs the chain against the state's current trail and touches
-		// only the divergent suffix.
-		if s.p.ReferenceKernel {
-			s.plBuf = v.placements(s.plBuf[:0])
-			if err := s.st.Replay(s.plBuf); err != nil {
-				panic(fmt.Errorf("core: vertex replay: %w", err)) // replay of our own placements cannot legally fail
-			}
-		} else {
-			s.chainBuf = materialize(s.st, v, s.chainBuf)
-		}
-		s.stats.Expanded++
-		if s.tt != nil {
-			// Store on expansion: from here on, this state's subtree is
-			// fully accounted for (explored, pruned against the incumbent
-			// allowance, or — with resource drops — flagged lossy), so any
-			// later arrival at the same canonical state is redundant.
-			lo, hi := s.st.Signature()
-			s.tt.Store(lo, hi, v.level, int64(v.lb))
-		}
-		var parentSeq uint64
-		if v.parent != nil {
-			parentSeq = v.parent.seq
-		}
-		s.emit(EventExpand, v.seq, parentSeq, v.task, v.proc, v.level, v.lb)
-
-		// Step 6–7: branch and bound the children. The optimized kernel
-		// bounds each child against the parent snapshot by the cone
-		// factorization — always exact, so events, LLB order, and child
-		// sorting cannot diverge from the reference kernel.
-		ref := s.p.ReferenceKernel
-		if !ref {
-			s.bnd.beginExpand(s.st)
-		}
-		s.children = s.children[:0]
-		s.readyBuf = s.br.tasks(s.st, s.readyBuf[:0])
-		for _, id := range s.readyBuf {
-			for q := 0; q < s.plat.M; q++ {
-				// Affinity-infeasible children are pruned at generation:
-				// they are never created, counted, or emitted. Universal
-				// affinity makes this loop the legacy one.
-				if !s.plat.Allows(id, platform.Proc(q)) {
-					continue
-				}
-				pl := s.st.Place(id, platform.Proc(q))
-				var lb taskgraph.Time
-				if ref {
-					lb = s.bnd.bound(s.st)
-				} else {
-					lb = s.bnd.boundChild(s.st, id)
-				}
-				s.stats.Generated++
-				s.seq++
-
-				if v.level+1 == n {
-					// Goal vertex: never enters AS (§3.1 variant) — it
-					// either becomes the incumbent or dies.
-					s.stats.Goals++
-					s.emit(EventGoal, s.seq, v.seq, id, platform.Proc(q), v.level+1, lb)
-					if lb < s.incCost && lb < s.extBound {
-						s.adoptIncumbent(lb)
-						s.emit(EventIncumbent, s.seq, v.seq, id, platform.Proc(q), v.level+1, lb)
-					}
-					s.st.Undo()
-					continue
-				}
-				if lb >= s.pruneLimit() {
-					s.stats.PrunedChildren++
-					s.emit(EventPrune, s.seq, v.seq, id, platform.Proc(q), v.level+1, lb)
-					s.st.Undo()
-					continue
-				}
-				if s.dom != nil && s.dom.dominated(s.st) {
-					s.stats.DominancePruned++
-					s.emit(EventDominated, s.seq, v.seq, id, platform.Proc(q), v.level+1, lb)
-					s.st.Undo()
-					continue
-				}
-				if s.tt != nil {
-					slo, shi := s.st.Signature()
-					if s.tt.Probe(slo, shi, v.level+1, int64(lb)) {
-						s.stats.DedupPruned++
-						s.emit(EventDuplicate, s.seq, v.seq, id, platform.Proc(q), v.level+1, lb)
-						s.st.Undo()
-						continue
-					}
-				}
-				var k *vertex
-				if ref {
-					k = &vertex{}
-				} else {
-					k = s.arena.alloc()
-				}
-				*k = vertex{
-					parent: v, lb: lb, start: pl.Start, finish: pl.Finish,
-					seq: s.seq, task: id, proc: platform.Proc(q), level: v.level + 1,
-				}
-				s.children = append(s.children, k)
-				s.emit(EventGenerate, s.seq, v.seq, id, platform.Proc(q), v.level+1, lb)
-				s.st.Undo()
-			}
-		}
+		// Step 6–7: materialize the vertex, then branch and bound its
+		// children (expander.generate).
+		s.expand(v)
+		s.kids = s.generate(v.seq, s.kids[:0])
 
 		// Step 8–9: eliminate (MAXSZDB) and move the survivors into AS.
-		s.insertChildren()
+		s.insertChildren(v)
 		if s.as.len() > s.stats.MaxActiveSet {
 			s.stats.MaxActiveSet = s.as.len()
 		}
 	}
 }
 
-// adoptIncumbent installs the goal at the current state as the new best
-// solution and applies the elimination rule E_U/DBAS to the active set.
-// A linked run announces the improvement immediately — adoption is gated
-// on beating the external bound too, so every publish is a strict global
-// improvement as of the last poll.
-func (s *solver) adoptIncumbent(cost taskgraph.Time) {
-	s.incCost = cost
-	s.incSeq = s.st.AppendPlacements(s.incSeq[:0])
-	s.stats.IncumbentUpdates++
-	s.stats.PrunedActive += int64(s.as.pruneAbove(s.pruneLimit()))
-	if l := s.p.Link; l != nil && l.Publish != nil {
-		l.Publish(cost, s.incSeq)
-	}
-}
-
-// insertChildren applies MAXSZDB, orders the surviving children per
-// ChildOrder, pushes them, and enforces MAXSZAS.
-func (s *solver) insertChildren() {
+// insertChildren moves v's generated children into arena vertices, applies
+// MAXSZDB, orders the survivors per ChildOrder, pushes them, and enforces
+// MAXSZAS.
+func (s *solver) insertChildren(v *vertex) {
+	s.children = s.spawn(v, s.kids, s.children[:0])
 	kids := s.children
 	if max := s.p.Resources.MaxChildren; max > 0 && len(kids) > max {
 		// Keep the most promising children.
@@ -486,19 +337,7 @@ func (s *solver) insertChildren() {
 		s.lost = true
 		kids = kids[:max]
 	}
-
-	switch {
-	case s.p.ChildOrder == ChildrenByLowerBound && s.p.Selection == SelectLIFO:
-		// Pop order = ascending lb ⇒ push descending.
-		sortChildrenByLB(kids, true)
-	case s.p.ChildOrder == ChildrenByLowerBound:
-		sortChildrenByLB(kids, false)
-	case s.p.Selection == SelectLIFO:
-		// Pop order = generation order ⇒ push reversed.
-		for i, j := 0, len(kids)-1; i < j; i, j = i+1, j-1 {
-			kids[i], kids[j] = kids[j], kids[i]
-		}
-	}
+	orderForPush(kids, s.p.ChildOrder, s.p.Selection)
 
 	maxAS := s.p.Resources.MaxActiveSet
 	for _, k := range kids {
@@ -512,9 +351,26 @@ func (s *solver) insertChildren() {
 			s.emit(EventDrop, dropped.seq, dps, dropped.task, dropped.proc, dropped.level, dropped.lb)
 			s.stats.Dropped++
 			// Dropping any vertex below the prune limit may lose the optimum.
-			if dropped.lb < s.pruneLimit() {
+			if dropped.lb < s.limit() {
 				s.lost = true
 			}
+		}
+	}
+}
+
+// orderForPush orders children for insertion so that the selection rule
+// pops them in ChildOrder: ascending lb, or generation order.
+func orderForPush(kids []*vertex, order ChildOrder, sel SelectionRule) {
+	switch {
+	case order == ChildrenByLowerBound && sel == SelectLIFO:
+		// Pop order = ascending lb ⇒ push descending.
+		sortChildrenByLB(kids, true)
+	case order == ChildrenByLowerBound:
+		sortChildrenByLB(kids, false)
+	case sel == SelectLIFO:
+		// Pop order = generation order ⇒ push reversed.
+		for i, j := 0, len(kids)-1; i < j; i, j = i+1, j-1 {
+			kids[i], kids[j] = kids[j], kids[i]
 		}
 	}
 }
@@ -538,60 +394,6 @@ func sortChildrenByLB(kids []*vertex, desc bool) {
 			kids[j-1], kids[j] = kids[j], kids[j-1]
 		}
 	}
-}
-
-func (s *solver) result() (Result, error) {
-	if s.popAgeObs > 0 {
-		s.stats.MeanPopAge = s.popAgeSum / float64(s.popAgeObs)
-	}
-	res := Result{Cost: taskgraph.Infinity, Params: s.p, Stats: s.stats}
-
-	switch {
-	case s.incSeq != nil:
-		fresh := sched.NewState(s.g, s.plat)
-		if err := fresh.Replay(s.incSeq); err != nil {
-			return Result{}, fmt.Errorf("core: incumbent replay: %w", err)
-		}
-		res.Schedule = fresh.Snapshot()
-		res.Cost = fresh.Lmax()
-		if res.Cost != s.incCost {
-			return Result{}, fmt.Errorf("core: incumbent cost drift: recorded %d, replayed %d", s.incCost, res.Cost)
-		}
-	case s.edfInc != nil:
-		res.Schedule = s.edfInc
-		res.Cost = s.incCost
-	}
-
-	switch {
-	case s.panicked != nil:
-		res.Reason = TermPanic
-	case s.canceled:
-		res.Reason = TermCanceled
-	case s.stats.TimedOut:
-		res.Reason = TermTimeLimit
-	case s.provedByBound:
-		res.Reason = TermGlobalBound
-	case s.lost:
-		res.Reason = TermResourceLoss
-	default:
-		res.Reason = TermExhausted
-	}
-	exhausted := res.Reason == TermExhausted
-	res.Guarantee = exhausted && s.p.Branching.Exact() && res.Schedule != nil
-	res.Optimal = res.Guarantee && s.p.BR == 0
-	if res.Reason == TermGlobalBound && res.Schedule != nil {
-		// The incumbent met a certified external lower bound: optimal by
-		// that certificate, regardless of how the search was cut short.
-		res.Optimal, res.Guarantee = true, true
-	}
-	if s.p.Prefix != nil || s.p.Link != nil {
-		// A subtree-restricted or externally coupled run proves nothing
-		// global on its own: exhaustion here means "no schedule extending
-		// the prefix beats min(local, external)". The coordinator that
-		// split the frontier assembles the global proof from every slice.
-		res.Optimal, res.Guarantee = false, false
-	}
-	return res, nil
 }
 
 // prefixChain builds the search root for a (possibly empty) prefix: the

@@ -11,8 +11,8 @@ import (
 )
 
 // KernelConfig bounds one kernel differential campaign: the optimized
-// search kernel (incremental materialization, cone-factored bounds, arena
-// vertices) against Params.ReferenceKernel on identical instances.
+// search kernel (incremental materialization, cone-factored bounds)
+// against Params.ReferenceKernel on identical instances.
 //
 // This is a stronger check than the cross-strategy equivalences in Run:
 // those only compare final costs, which survive a kernel that prunes

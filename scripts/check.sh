@@ -7,15 +7,10 @@
 # that touches the search or scheduling layers.
 #
 # Usage: scripts/check.sh [package patterns...]   (default: ./...)
-#        scripts/check.sh bench [out.json]
 #        scripts/check.sh dist
 #        scripts/check.sh grid
 #        scripts/check.sh hetero
 #        scripts/check.sh vet
-#
-# The bench form skips the static/race gates and runs the before/after
-# kernel perf harness instead (scripts/bench.sh), writing BENCH_PR4.json
-# and failing if the lifo-df vertices/sec gate is not met.
 #
 # The dist form gates the distributed fabric alone: race-enabled
 # internal/dist tests (frontier equivalence, steal/evict robustness,
@@ -48,7 +43,10 @@
 # hotalloc, and wireschema passes) over the whole module under the
 # strict baseline — any finding not recorded in
 # internal/check/testdata/bbvet.baseline fails, and so does any stale
-# baseline entry, hotalloc.allow entry, or wireschema.snap drift — three
+# baseline entry, hotalloc.allow entry, or wireschema.snap drift — a
+# `go vet` of the nested benchmark module cmd/bbperf, which the root
+# build and vet do not compile, so an internal API change that breaks the
+# benchmark fails here rather than when the benchmark runs — three
 # 10-second native fuzz runs over their committed seed corpora
 # (testdata/fuzz in each package): taskgraph.Canonical, the one-pass graph
 # decoder against encoding/json (FuzzGraphJSON), and the one-pass request
@@ -59,11 +57,6 @@
 set -eu
 
 cd "$(dirname "$0")/.."
-
-if [ "${1:-}" = "bench" ]; then
-    shift
-    exec scripts/bench.sh "$@"
-fi
 
 if [ "${1:-}" = "dist" ]; then
     echo "==> go vet ./internal/dist ./cmd/bbworker"
@@ -132,6 +125,9 @@ if [ "${1:-}" = "vet" ]; then
         echo "FAIL: $snap is stale; regenerate with: go run ./cmd/bbvet -write-wireschema ./..." >&2
         exit 1
     }
+
+    echo "==> go vet ./... in the nested benchmark module cmd/bbperf"
+    GOWORK=off go -C cmd/bbperf vet ./...
 
     echo "==> go test -fuzz FuzzCanonical -fuzztime 10s ./internal/taskgraph"
     go test -run '^$' -fuzz '^FuzzCanonical$' -fuzztime 10s ./internal/taskgraph
