@@ -2,6 +2,6 @@
 
 package core
 
-// dedupHeavyBuild is false in normal builds: the dedup tests run their
-// full-size wide workloads.
-const dedupHeavyBuild = false
+// heavyBuild is false in normal builds: the dedup and duplicate-free
+// tests run their full-size workloads.
+const heavyBuild = false

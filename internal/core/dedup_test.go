@@ -36,7 +36,7 @@ func wideWorkloads(t testing.TB, count, n int, seed int64) []*taskgraph.Graph {
 // (scripts/check.sh vet) pays ~100× per vertex, so it runs the same
 // checks on smaller trees to stay inside the go-test timeout.
 func dedupSuiteScale() (graphs, n int, ms []int) {
-	if dedupHeavyBuild {
+	if heavyBuild {
 		return 2, 10, []int{3}
 	}
 	return 3, 11, []int{2, 3}
@@ -184,7 +184,7 @@ func TestDedupParallelAndIDAMatchSequential(t *testing.T) {
 // and actually hits the table.
 func TestDedupSharedExternalTable(t *testing.T) {
 	n := 12
-	if dedupHeavyBuild {
+	if heavyBuild {
 		n = 10
 	}
 	g := wideWorkloads(t, 1, n, 31)[0]
@@ -211,7 +211,7 @@ func TestDedupSharedExternalTable(t *testing.T) {
 // evictions yet must never change the answer (a miss only costs re-search).
 func TestDedupTinyBudgetStaysCorrect(t *testing.T) {
 	n := 13
-	if dedupHeavyBuild {
+	if heavyBuild {
 		n = 11
 	}
 	g := wideWorkloads(t, 1, n, 41)[0]

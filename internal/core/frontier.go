@@ -69,6 +69,10 @@ func EnumerateFrontier(g *taskgraph.Graph, plat platform.Platform, p Params, tar
 			return fmt.Errorf("core: frontier expansion does not support Prefix, Link or Observer")
 		case p.Dominance:
 			return fmt.Errorf("core: frontier expansion does not support the dominance rule")
+		case p.DuplicateFree:
+			// Slices are searched under a Prefix, which the knob rejects,
+			// and the dist wire does not carry it.
+			return fmt.Errorf("core: frontier expansion does not support DuplicateFree")
 		case p.Resources.MaxActiveSet != 0 || p.Resources.MaxChildren != 0:
 			return fmt.Errorf("core: MAXSZAS/MAXSZDB are not supported by frontier expansion")
 		}

@@ -166,6 +166,14 @@ type expander struct {
 	dom *domTable        // domination rule D (Params.Dominance); nil when off
 	tt  *transpose.Table // duplicate detection (Params.Dedup); nil when off
 
+	// Duplicate-free generation (Params.DuplicateFree), all nil when off:
+	// class is each processor's interchangeability class, twin marks the
+	// processors the symmetry rule skips at the current expansion, and
+	// seen is per-class scratch for marking them.
+	class []int
+	twin  []bool
+	seen  []bool
+
 	// threshold is SolveIDA's probe threshold: children bounded above it
 	// are deferred to the next iteration, and nextThr records the least
 	// such bound. Every other driver leaves it at maxTime.
@@ -198,6 +206,11 @@ func newExpander(g *taskgraph.Graph, plat platform.Platform, p Params, tt *trans
 	}
 	if p.Dominance {
 		e.dom = newDomTable(g.NumTasks())
+	}
+	if p.DuplicateFree {
+		e.class = plat.Classes()
+		e.twin = make([]bool, plat.M)
+		e.seen = make([]bool, plat.M)
 	}
 	if tt != nil {
 		e.st.EnableSignature()
@@ -283,6 +296,11 @@ type child struct {
 // deferral, domination D, duplicate — and emits the event of its outcome.
 // Survivors are appended to kids in generation order.
 //
+// Under Params.DuplicateFree a child the rules skip is dropped before it
+// is placed, like an affinity-infeasible one, and counted only in
+// Stats.Skipped. With the knob off, each child costs one more test of a
+// flag read once per expansion.
+//
 // The optimized kernel bounds each child against the parent snapshot by
 // the cone factorization — always exact, so events, LLB order, and child
 // sorting cannot diverge from the reference kernel.
@@ -298,6 +316,11 @@ func (e *expander) generate(parent uint64, kids []child) []child {
 	}
 	level := int32(e.st.NumPlaced()) + 1
 	limit := e.pol.limit()
+	dupFree := e.class != nil
+	var floor sched.Placement
+	if dupFree {
+		floor = e.beginDuplicateFree()
+	}
 	e.readyBuf = e.br.tasks(e.st, e.readyBuf[:0])
 	for _, id := range e.readyBuf {
 		for q := 0; q < e.plat.M; q++ {
@@ -306,6 +329,10 @@ func (e *expander) generate(parent uint64, kids []child) []child {
 			// makes this loop the legacy one.
 			proc := platform.Proc(q)
 			if !e.plat.Allows(id, proc) {
+				continue
+			}
+			if dupFree && e.skip(id, proc, floor) {
+				e.stats.Skipped++
 				continue
 			}
 			pl := e.st.Place(id, proc)
@@ -359,6 +386,46 @@ func (e *expander) generate(parent uint64, kids []child) []child {
 		}
 	}
 	return kids
+}
+
+// beginDuplicateFree prepares one expansion of the current state for
+// duplicate-free generation. It marks as twins the processors the symmetry
+// rule skips: each empty processor with an empty lower-index processor of
+// its class. A processor is empty exactly when its ProcFree is 0: a task
+// starts no earlier than its phase (>= 0) and runs for at least one time
+// unit (taskgraph rejects exec <= 0, and ExecCost keeps a positive demand
+// positive), so a processor holding a task is free only after time 0.
+// It returns start-time order's floor, the last placement, or a floor
+// with Task NoTask where the rule does not apply: at the root, and under
+// DF and BF1, whose answers it would change.
+func (e *expander) beginDuplicateFree() sched.Placement {
+	clear(e.seen)
+	for q, c := range e.class {
+		empty := e.st.ProcFree(platform.Proc(q)) == 0
+		e.twin[q] = empty && e.seen[c]
+		e.seen[c] = e.seen[c] || empty
+	}
+	depth := e.st.Depth()
+	if e.p.Branching != BranchBFn || depth == 0 {
+		return sched.Placement{Task: taskgraph.NoTask}
+	}
+	last := e.st.TrailEntry(depth - 1).Task
+	return sched.Placement{Task: last, Start: e.st.Start(last)}
+}
+
+// skip reports whether duplicate-free generation drops the child placing
+// task id on processor q: q is a twin, or the child's (start, task ID) is
+// lexicographically below the floor's. The start is EST, read before any
+// Place, so a skipped child costs no Place, Undo or bound.
+func (e *expander) skip(id taskgraph.TaskID, q platform.Proc, floor sched.Placement) bool {
+	if e.twin[q] {
+		return true
+	}
+	if floor.Task == taskgraph.NoTask {
+		return false
+	}
+	est := e.st.EST(id, q)
+	return est < floor.Start || est == floor.Start && id < floor.Task
 }
 
 // spawn moves v's generated children into arena vertices, appending them

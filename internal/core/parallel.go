@@ -106,6 +106,7 @@ func SolveParallelContext(ctx context.Context, g *taskgraph.Graph, plat platform
 	for _, w := range ps.ws {
 		stats.add(w.stats)
 	}
+	stats.MaxActiveSet += ps.poolHigh
 	fillTableStats(&stats, ps.tt)
 	releaseTable(p, ps.tt, err != nil)
 	stats.Elapsed = time.Since(start) //bbvet:ignore nondet (reporting only)
@@ -149,6 +150,7 @@ type parSolver struct {
 	tt *transpose.Table // shared duplicate-detection table; nil when off
 
 	pool     []*vertex
+	poolHigh int // pool high-water mark, the seeding frontier included
 	poolMu   sync.Mutex
 	poolCond *sync.Cond
 	idle     int
@@ -182,6 +184,7 @@ func (ps *parSolver) run() (err error) {
 		}
 		v := frontier[0]
 		frontier = w.branch(v, frontier[1:])
+		ps.poolHigh = max(ps.poolHigh, len(frontier)) // no worker runs yet
 	}
 	if len(frontier) == 0 {
 		// The seeding pass already exhausted the search.
@@ -328,9 +331,12 @@ func (w *parWorker) loop() {
 			return // search complete
 		}
 		if v.lb >= w.limit() {
+			// Stale: pushed before the incumbent improved.
+			w.stats.PrunedActive++
 			continue
 		}
 		w.stack = w.branch(v, w.stack)
+		w.noteStack()
 
 		// Donate the bottom half of an oversized stack when peers starve.
 		if len(w.stack) > donateThreshold {
@@ -338,11 +344,19 @@ func (w *parWorker) loop() {
 			if ps.idle > 0 && len(ps.pool) < ps.workers {
 				half := len(w.stack) / 2
 				ps.pool = append(ps.pool, w.stack[:half]...)
+				ps.poolHigh = max(ps.poolHigh, len(ps.pool))
 				w.stack = append(w.stack[:0], w.stack[half:]...)
 				ps.poolCond.Broadcast()
 			}
 			ps.poolMu.Unlock()
 		}
+	}
+}
+
+// noteStack records the worker's stack high-water mark in its Stats.
+func (w *parWorker) noteStack() {
+	if len(w.stack) > w.stats.MaxActiveSet {
+		w.stats.MaxActiveSet = len(w.stack)
 	}
 }
 
@@ -375,6 +389,7 @@ func (w *parWorker) take() *vertex {
 			ps.pool = ps.pool[:n-share]
 			v := w.stack[len(w.stack)-1]
 			w.stack = w.stack[:len(w.stack)-1]
+			w.noteStack()
 			return v
 		}
 		ps.idle++

@@ -188,3 +188,30 @@ func TestParallelStatsAggregated(t *testing.T) {
 		t.Fatalf("stats not aggregated: %+v", res.Stats)
 	}
 }
+
+// TestParallelReportsCounters: SolveParallel counts the stale vertices its
+// workers pop and reports a high-water mark of its stacks and pool. Over
+// the set, the searches keep work queued and see the incumbent improve
+// under queued vertices (one graph is solved while seeding the pool).
+// The time limit only binds under the race detector and bbdebug, where
+// the two largest searches (~1.1M and ~0.8M vertices) would take
+// minutes; a cut-short run reports its counters all the same.
+func TestParallelReportsCounters(t *testing.T) {
+	plat := platform.New(3)
+	var maxAS int
+	var stale int64
+	for _, g := range paperWorkloads(t, 4, 67) {
+		res, err := SolveParallel(g, plat, ParallelParams{
+			Params:  Params{Resources: ResourceBounds{TimeLimit: time.Second}},
+			Workers: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxAS += res.Stats.MaxActiveSet
+		stale += res.Stats.PrunedActive
+	}
+	if maxAS <= 0 || stale <= 0 {
+		t.Errorf("summed MaxActiveSet %d, PrunedActive %d; want both > 0", maxAS, stale)
+	}
+}

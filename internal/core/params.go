@@ -366,6 +366,27 @@ type Params struct {
 	// does. A warm table with a cold incumbent silently loses solutions.
 	DedupTable *transpose.Table
 
+	// DuplicateFree generates each partial schedule once instead of once
+	// per relabeling of the empty processors and once per interleaving of
+	// independent tasks. Two rules skip children before they are placed:
+	//
+	//   - symmetry, under every branching rule: no child on an empty
+	//     processor when a lower-index processor of its interchangeability
+	//     class (platform.Classes) is empty too;
+	//   - start-time order, under BFn only: no child whose (start, task ID)
+	//     is lexicographically below the last placement's.
+	//
+	// Every schedule of the paper's tree stays reachable, relabeled and in
+	// (start, ID) order, so Cost, Optimal and Guarantee are unchanged
+	// (DESIGN.md, "Duplicate-free generation"). The tree is not the
+	// paper's: Generated and every other count describe the reduced tree,
+	// and skipped children are counted in Stats.Skipped alone. Rejected
+	// with Dominance, which has no soundness argument with the rules, and
+	// with Prefix, below whose last placement start-time order could skip
+	// the prefix's best completion. With the knob off (the default) the
+	// search walks the paper's tree, event for event.
+	DuplicateFree bool
+
 	// ReferenceKernel selects the naive, obviously-correct hot path — a
 	// full ancestor-chain replay per expansion and a full-graph bound sweep
 	// per generated child — instead of the optimized kernel (incremental
@@ -450,6 +471,12 @@ func (p Params) Validate() error {
 	}
 	if !p.Dedup && (p.DedupBudget != 0 || p.DedupTable != nil) {
 		return fmt.Errorf("core: DedupBudget/DedupTable set without Dedup")
+	}
+	if p.DuplicateFree && p.Dominance {
+		return fmt.Errorf("core: DuplicateFree with the dominance rule is not supported (no soundness argument)")
+	}
+	if p.DuplicateFree && p.Prefix != nil {
+		return fmt.Errorf("core: DuplicateFree with a Prefix is not supported (start-time order could skip the prefix's best completion)")
 	}
 	return nil
 }

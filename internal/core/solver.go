@@ -43,6 +43,12 @@ type Stats struct {
 	// expanded state with an equal-or-better bound.
 	DedupPruned int64
 
+	// Skipped counts children duplicate-free generation
+	// (Params.DuplicateFree) never created: like affinity-infeasible
+	// children they are not placed, bounded, counted in Generated or
+	// emitted. Zero when the knob is off.
+	Skipped int64
+
 	// The transposition-table gauges below are a snapshot taken when the
 	// run ends; with a shared table (Params.DedupTable, SolveParallel,
 	// the fleet) they are cumulative across everything the table served,
@@ -58,6 +64,9 @@ type Stats struct {
 	Dropped int64
 
 	// MaxActiveSet is the high-water mark of the active-set size.
+	// SolveParallel reports the sum of its workers' stack high-water marks
+	// and its pool's (the seeding frontier included): an upper bound on the
+	// vertices live at one instant, since the marks need not coincide.
 	MaxActiveSet int
 
 	// IncumbentUpdates counts strict improvements of the best solution.
@@ -81,7 +90,8 @@ type Stats struct {
 }
 
 // add accumulates o's search counters into s; SolveParallel sums its
-// workers' Stats this way after the join.
+// workers' Stats this way after the join. MaxActiveSet is summed too,
+// which bounds the workers' joint high-water mark from above.
 func (s *Stats) add(o Stats) {
 	s.Generated += o.Generated
 	s.Expanded += o.Expanded
@@ -90,7 +100,9 @@ func (s *Stats) add(o Stats) {
 	s.PrunedActive += o.PrunedActive
 	s.DominancePruned += o.DominancePruned
 	s.DedupPruned += o.DedupPruned
+	s.Skipped += o.Skipped
 	s.Dropped += o.Dropped
+	s.MaxActiveSet += o.MaxActiveSet
 	s.IncumbentUpdates += o.IncumbentUpdates
 }
 

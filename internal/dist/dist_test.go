@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -253,6 +254,19 @@ func TestRejectsNonDistributable(t *testing.T) {
 		if _, err := fleet.Solve(context.Background(), g, plat, p); err == nil {
 			t.Errorf("combo %d: expected rejection", i)
 		}
+	}
+}
+
+// TestRejectsDuplicateFree: the wire does not carry duplicate-free
+// generation, so the fleet refuses it rather than search the paper's tree
+// under a caller who asked for the reduced one.
+func TestRejectsDuplicateFree(t *testing.T) {
+	p := core.Params{DuplicateFree: true}
+	if err := checkDistributable(p); err == nil || !strings.Contains(err.Error(), "DuplicateFree") {
+		t.Fatalf("checkDistributable(DuplicateFree) = %v, want a rejection naming it", err)
+	}
+	if _, err := NewFleet(Config{}).Solve(context.Background(), taskgraph.Diamond(), platform.New(2), p); err == nil {
+		t.Fatal("fleet accepted a DuplicateFree solve")
 	}
 }
 

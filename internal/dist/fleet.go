@@ -649,6 +649,8 @@ func checkDistributable(p core.Params) error {
 		return fmt.Errorf("dist: the reference kernel is a local differential-testing mode")
 	case p.DedupTable != nil:
 		return fmt.Errorf("dist: DedupTable is owned by the workers (set Dedup/DedupBudget only)")
+	case p.DuplicateFree:
+		return fmt.Errorf("dist: DuplicateFree is not on the wire")
 	}
 	return nil
 }

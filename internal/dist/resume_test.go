@@ -401,20 +401,26 @@ func TestFirstReportWinsDedup(t *testing.T) {
 	}()
 
 	// Lease one slice by hand, then report it twice from two "workers".
+	// The solve must still be running while the lease loop waits: if it
+	// returns first, its error is the failure, not a context timeout.
 	poster := NewWorker(WorkerConfig{Coordinator: srv.URL})
 	var join JoinResponse
+	if err := poster.post(ctx, "/dist/v1/join", JoinRequest{Name: "dup"}, &join); err != nil {
+		t.Fatal(err)
+	}
 	var lease LeaseResponse
 	for {
-		if err := poster.post(ctx, "/dist/v1/join", JoinRequest{Name: "dup"}, &join); err != nil {
-			t.Fatal(err)
-		}
 		if err := poster.post(ctx, "/dist/v1/lease", LeaseRequest{WorkerID: join.WorkerID, Max: 1}, &lease); err != nil {
 			t.Fatal(err)
 		}
 		if !lease.None && len(lease.Slices) > 0 {
 			break
 		}
-		time.Sleep(5 * time.Millisecond)
+		select {
+		case err := <-out:
+			t.Fatalf("fleet.Solve returned before a slice was leased: %v", err)
+		case <-time.After(5 * time.Millisecond):
+		}
 	}
 	report := ReportRequest{
 		WorkerID: join.WorkerID, SolveID: lease.SolveID, SliceID: lease.Slices[0].ID,

@@ -6,9 +6,10 @@
 // The checked equivalences, per instance:
 //
 //	oracle    brute-force optimum (small instances only)
-//	exact     Solve{LIFO, LLB, FIFO} × {LB0, LB1} all equal, == oracle
-//	ida       SolveIDA == exact
-//	parallel  SolveParallel == exact
+//	exact     Solve{LIFO, LLB, FIFO} × {LB0, LB1} all equal, == oracle,
+//	          also under Params.DuplicateFree with the same proof flags
+//	ida       SolveIDA == exact, with and without DuplicateFree
+//	parallel  SolveParallel == exact, with and without DuplicateFree
 //	approx    DF, BF1, BR>0, list schedulers, EDF, improve: >= exact,
 //	          valid schedules, BR within its guarantee
 //	bounds    analysis.Lower <= exact
@@ -141,6 +142,13 @@ func checkInstance(cfg Config, seed int64) (bool, error) {
 		{Bound: core.BoundLB0, Resources: tl},
 		{ChildOrder: core.ChildrenAsGenerated, Resources: tl},
 		{Dominance: true, Resources: tl},
+		// Duplicate-free generation searches a reduced tree for the same
+		// answer and proof.
+		{DuplicateFree: true, Resources: tl},
+		{Selection: core.SelectLLB, DuplicateFree: true, Resources: tl},
+		{Selection: core.SelectFIFO, DuplicateFree: true, Resources: tl},
+		{Bound: core.BoundLB0, DuplicateFree: true, Resources: tl},
+		{Dedup: true, DuplicateFree: true, Resources: tl},
 	} {
 		r, err := core.Solve(g, plat, params)
 		if err != nil {
@@ -149,25 +157,31 @@ func checkInstance(cfg Config, seed int64) (bool, error) {
 		if r.Stats.TimedOut {
 			return false, nil
 		}
-		if r.Cost != ref.Cost {
-			return false, fmt.Errorf("%v cost %d != reference %d", params, r.Cost, ref.Cost)
+		if r.Cost != ref.Cost || r.Optimal != ref.Optimal || r.Guarantee != ref.Guarantee {
+			return false, fmt.Errorf("%v (DuplicateFree=%v) cost %d optimal=%v guarantee=%v != reference %d optimal=%v guarantee=%v",
+				params, params.DuplicateFree, r.Cost, r.Optimal, r.Guarantee, ref.Cost, ref.Optimal, ref.Guarantee)
 		}
 	}
-	ida, err := core.SolveIDA(g, plat, core.Params{Resources: tl})
-	if err != nil {
-		return false, err
+	for _, dupFree := range []bool{false, true} {
+		ida, err := core.SolveIDA(g, plat, core.Params{DuplicateFree: dupFree, Resources: tl})
+		if err != nil {
+			return false, err
+		}
+		if !ida.Stats.TimedOut && ida.Cost != ref.Cost {
+			return false, fmt.Errorf("IDA (DuplicateFree=%v) cost %d != reference %d", dupFree, ida.Cost, ref.Cost)
+		}
 	}
-	if !ida.Stats.TimedOut && ida.Cost != ref.Cost {
-		return false, fmt.Errorf("IDA cost %d != reference %d", ida.Cost, ref.Cost)
-	}
-	par, err := core.SolveParallel(g, plat, core.ParallelParams{
-		Params: core.Params{Resources: tl}, Workers: 4,
-	})
-	if err != nil {
-		return false, err
-	}
-	if !par.Stats.TimedOut && par.Cost != ref.Cost {
-		return false, fmt.Errorf("parallel cost %d != reference %d", par.Cost, ref.Cost)
+	for _, leg := range []core.ParallelParams{
+		{Params: core.Params{Resources: tl}, Workers: 4},
+		{Params: core.Params{DuplicateFree: true, Resources: tl}, Workers: 2},
+	} {
+		par, err := core.SolveParallel(g, plat, leg)
+		if err != nil {
+			return false, err
+		}
+		if !par.Stats.TimedOut && par.Cost != ref.Cost {
+			return false, fmt.Errorf("parallel (DuplicateFree=%v) cost %d != reference %d", leg.DuplicateFree, par.Cost, ref.Cost)
+		}
 	}
 
 	// Bounds.
@@ -190,12 +204,14 @@ func checkInstance(cfg Config, seed int64) (bool, error) {
 		return nil
 	}
 	for _, br := range []core.BranchingRule{core.BranchDF, core.BranchBF1} {
-		r, err := core.Solve(g, plat, core.Params{Branching: br, Resources: tl})
-		if err != nil {
-			return false, err
-		}
-		if err := check(br.String(), r.Cost, r.Schedule); err != nil {
-			return false, err
+		for _, dupFree := range []bool{false, true} {
+			r, err := core.Solve(g, plat, core.Params{Branching: br, DuplicateFree: dupFree, Resources: tl})
+			if err != nil {
+				return false, err
+			}
+			if err := check(fmt.Sprintf("%v (DuplicateFree=%v)", br, dupFree), r.Cost, r.Schedule); err != nil {
+				return false, err
+			}
 		}
 	}
 	brRun, err := core.Solve(g, plat, core.Params{BR: 0.25, Resources: tl})

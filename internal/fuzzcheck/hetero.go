@@ -20,7 +20,8 @@ import (
 // {0.5, 1, 2, 3}, random non-empty affinity masks), checking per instance
 //
 //	global    core.Solve on the heterogeneous platform == brute-force
-//	          (order × placement) enumeration;
+//	          (order × placement) enumeration, also under
+//	          Params.DuplicateFree with the same proof flags;
 //	part      hetero.SolvePartitioned == exhaustive assignment
 //	          enumeration (hetero.BruteForcePartitioned);
 //	relate    partitioned optimum >= global optimum (every partitioned
@@ -125,6 +126,24 @@ func checkHeteroInstance(cfg Config, seed int64) (bool, error) {
 	}
 	if ref.Cost != want.Cost {
 		return false, fmt.Errorf("global hetero cost %d != oracle %d on %v", ref.Cost, want.Cost, plat)
+	}
+	// Duplicate-free generation: symmetry within each processor class and
+	// start-time order keep the oracle's optimum and the proof.
+	for _, params := range []core.Params{
+		{DuplicateFree: true, Resources: tl},
+		{Selection: core.SelectLLB, DuplicateFree: true, Resources: tl},
+	} {
+		r, err := core.Solve(g, plat, params)
+		if err != nil {
+			return false, err
+		}
+		if r.Stats.TimedOut {
+			return false, nil
+		}
+		if r.Cost != want.Cost || r.Optimal != ref.Optimal || r.Guarantee != ref.Guarantee {
+			return false, fmt.Errorf("duplicate-free %v hetero cost %d optimal=%v != oracle %d (reference optimal=%v) on %v",
+				params.Selection, r.Cost, r.Optimal, want.Cost, ref.Optimal, plat)
+		}
 	}
 
 	// Partitioned mode vs the exhaustive assignment oracle.

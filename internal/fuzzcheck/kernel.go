@@ -48,7 +48,8 @@ func DefaultKernelConfig() KernelConfig {
 
 // kernelCombos spans the strategy space the optimized kernel must track
 // exactly: every selection rule, both bounds (plus no bound), every
-// branching rule, BR allowances, child ordering, and the dominance rule.
+// branching rule, BR allowances, child ordering, the dominance rule and
+// duplicate-free generation.
 var kernelCombos = []struct {
 	name string
 	p    core.Params
@@ -69,6 +70,8 @@ var kernelCombos = []struct {
 	{"lifo-asgen", core.Params{ChildOrder: core.ChildrenAsGenerated}},
 	{"lifo-dominance", core.Params{Dominance: true}},
 	{"lifo-maxas", core.Params{Resources: core.ResourceBounds{MaxActiveSet: 12}}},
+	{"lifo-dupfree", core.Params{DuplicateFree: true}},
+	{"llb-dupfree-df", core.Params{Selection: core.SelectLLB, Branching: core.BranchDF, DuplicateFree: true}},
 }
 
 // RunKernel executes the kernel differential campaign, stopping at the
@@ -268,6 +271,8 @@ func kernelResultsEqual(a, b core.Result) error {
 		return fmt.Errorf("PrunedActive %d != %d", x.PrunedActive, y.PrunedActive)
 	case x.DominancePruned != y.DominancePruned:
 		return fmt.Errorf("DominancePruned %d != %d", x.DominancePruned, y.DominancePruned)
+	case x.Skipped != y.Skipped:
+		return fmt.Errorf("Skipped %d != %d", x.Skipped, y.Skipped)
 	case x.Dropped != y.Dropped:
 		return fmt.Errorf("Dropped %d != %d", x.Dropped, y.Dropped)
 	case x.MaxActiveSet != y.MaxActiveSet:

@@ -142,6 +142,45 @@ func (p Platform) Heterogeneous() bool {
 	return !p.Uniform() || !p.UniversalAffinity()
 }
 
+// Classes returns the interchangeability class of every processor.
+// Processors share a class exactly when they have the same speed factor
+// and the same affinity column (bit q of every task's mask), so swapping
+// two of them maps any schedule to one with the same start and finish
+// times. Classes are numbered by first appearance in processor order: a
+// deterministic function of the platform, with one class (all zeros) on a
+// homogeneous-universal platform.
+func (p Platform) Classes() []int {
+	class := make([]int, p.M)
+	var reps []int // the first processor of each class
+	for q := range class {
+		class[q] = len(reps)
+		for c, r := range reps {
+			if p.interchangeable(q, r) {
+				class[q] = c
+				break
+			}
+		}
+		if class[q] == len(reps) {
+			reps = append(reps, q)
+		}
+	}
+	return class
+}
+
+// interchangeable reports whether processors q and r have the same speed
+// factor and the same affinity column.
+func (p Platform) interchangeable(q, r int) bool {
+	if p.Speed != nil && p.Speed[q] != p.Speed[r] {
+		return false
+	}
+	for _, mask := range p.Affinity {
+		if mask>>uint(q)&1 != mask>>uint(r)&1 {
+			return false
+		}
+	}
+	return true
+}
+
 // Allows reports whether the task may execute on processor q.
 func (p Platform) Allows(id taskgraph.TaskID, q Proc) bool {
 	if p.Affinity == nil || int(id) >= len(p.Affinity) {

@@ -60,3 +60,31 @@ func TestCommCost(t *testing.T) {
 		t.Fatalf("MessageCost = %d, want 21", got)
 	}
 }
+
+func TestClasses(t *testing.T) {
+	cases := []struct {
+		name string
+		p    Platform
+		want []int
+	}{
+		{"homogeneous", New(3), []int{0, 0, 0}},
+		{"homogeneous beyond 64 processors", New(100), make([]int, 100)},
+		{"speeds", Platform{M: 4, CommDelay: 1, Speed: []float64{2, 1, 2, 0.5}}, []int{0, 1, 0, 2}},
+		// Task 0 may run on processors 0 and 2, task 1 on every one: the
+		// columns of 0 and 2 match, 1 and 3 match.
+		{"affinity", Platform{M: 4, CommDelay: 1, Affinity: []uint64{0b0101, 0b1111}}, []int{0, 1, 0, 1}},
+		{"speeds and affinity", Platform{M: 4, CommDelay: 1, Speed: []float64{1, 1, 2, 2}, Affinity: []uint64{0b0101, 0b1111}}, []int{0, 1, 2, 3}},
+	}
+	for _, c := range cases {
+		got := c.p.Classes()
+		if len(got) != len(c.want) {
+			t.Fatalf("%s: %d classes for %d processors", c.name, len(got), c.p.M)
+		}
+		for q := range got {
+			if got[q] != c.want[q] {
+				t.Errorf("%s: Classes() = %v, want %v", c.name, got, c.want)
+				break
+			}
+		}
+	}
+}

@@ -100,44 +100,17 @@ func (s *State) EnableSignature() {
 
 // procSalts returns per-processor seed salts for the signature, or nil on a
 // homogeneous-universal platform. Processors receive equal salts exactly
-// when they are interchangeable: same speed factor and the same column in
-// every task's affinity mask. Class numbering follows first appearance in
-// processor order, so the salts are a deterministic function of the
-// platform and signatures remain comparable across States (and across
-// fleet slices) solving the same instance.
+// when they are interchangeable (platform.Classes). Class numbering
+// follows first appearance in processor order, so the salts are a
+// deterministic function of the platform and signatures remain comparable
+// across States (and across fleet slices) solving the same instance.
 func procSalts(p platform.Platform) []uint64 {
 	if !p.Heterogeneous() {
 		return nil
 	}
-	type class struct {
-		speed  float64
-		column string
-	}
 	salts := make([]uint64, p.M)
-	var classes []class
-	for q := 0; q < p.M; q++ {
-		speed := 1.0
-		if p.Speed != nil {
-			speed = p.Speed[q]
-		}
-		// The affinity column of processor q: one byte per task.
-		col := make([]byte, len(p.Affinity))
-		for id, mask := range p.Affinity {
-			col[id] = byte(mask >> uint(q) & 1)
-		}
-		c := class{speed: speed, column: string(col)}
-		idx := -1
-		for i, have := range classes {
-			if have == c {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			idx = len(classes)
-			classes = append(classes, c)
-		}
-		salts[q] = sigMix(uint64(idx) + 0x5851f42d4c957f2d)
+	for q, c := range p.Classes() {
+		salts[q] = sigMix(uint64(c) + 0x5851f42d4c957f2d)
 	}
 	return salts
 }

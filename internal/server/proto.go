@@ -169,6 +169,10 @@ func (r *SolveRequest) params() (core.Params, error) {
 	}
 	p.Dedup = r.Dedup
 	p.DedupBudget = r.DedupBudget
+	// A served solve returns Lmax, the flags and one schedule, not the
+	// paper's tree, so in-process global solves skip duplicate children.
+	// The dist wire does not carry the knob: fleet solves keep the tree.
+	p.DuplicateFree = !r.Distributed && r.Mode != "partitioned"
 	return p, nil
 }
 

@@ -522,14 +522,18 @@ func solveKey(cg canonGraph, platKey string, params core.Params, req SolveReques
 	if params.Dedup {
 		dedupKey = 1 + params.DedupBudget // Stats in the answer bytes depend on it
 	}
+	dupFreeKey := 0
+	if params.DuplicateFree {
+		dupFreeKey = 1 // Stats in the answer bytes describe the reduced tree
+	}
 	modeKey := 0
 	if partitioned {
 		modeKey = 1
 	}
-	return fmt.Sprintf("solve|%s|%s|s=%d|b=%d|l=%d|r=%g|w=%d|t=%d|d=%d|dd=%d|md=%d",
+	return fmt.Sprintf("solve|%s|%s|s=%d|b=%d|l=%d|r=%g|w=%d|t=%d|d=%d|dd=%d|df=%d|md=%d",
 		cg.key, platKey,
 		params.Selection, params.Branching, params.Bound, params.BR,
-		req.Workers, budget, distKey, dedupKey, modeKey)
+		req.Workers, budget, distKey, dedupKey, dupFreeKey, modeKey)
 }
 
 // solveClass returns the singleflight body function for one solve

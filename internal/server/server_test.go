@@ -796,3 +796,72 @@ func TestSolveDedupKnob(t *testing.T) {
 		}
 	}
 }
+
+// TestServedSolvesAreDuplicateFree: in-process global solves, and only
+// they, search without duplicate children. The answer is the paper's
+// tree's, the Stats are the duplicate-free solve's on the canonical
+// graph, and the cache key tells the two apart.
+func TestServedSolvesAreDuplicateFree(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		req  SolveRequest
+		want bool
+	}{
+		{"global", SolveRequest{}, true},
+		{"parallel dedup", SolveRequest{Workers: 2, Dedup: true}, true},
+		{"distributed", SolveRequest{Distributed: true}, false},
+		{"partitioned", SolveRequest{Mode: "partitioned"}, false},
+	} {
+		p, err := c.req.params()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.DuplicateFree != c.want {
+			t.Errorf("%s: DuplicateFree = %v, want %v", c.name, p.DuplicateFree, c.want)
+		}
+	}
+
+	s := New(Config{Workers: 2, DefaultBudget: 5 * time.Second})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	g := testGraph(t, 7)
+	req := solveReq(g, 3, 5000)
+	resp, body := postJSON(t, ts.URL+"/v1/solve", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("solve: %d %s", resp.StatusCode, body)
+	}
+	var sr SolveResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	plat := platform.New(3)
+	off, err := core.Solve(g, plat, core.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cg, err := canonicalize(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	on, err := core.Solve(cg.g, plat, core.Params{DuplicateFree: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr.Lmax != off.Cost || sr.Optimal != off.Optimal {
+		t.Fatalf("served lmax=%d optimal=%v, paper's tree cost=%d optimal=%v", sr.Lmax, sr.Optimal, off.Cost, off.Optimal)
+	}
+	if sr.Stats.Generated != on.Stats.Generated || sr.Stats.Generated >= off.Stats.Generated {
+		t.Fatalf("served generated %d, duplicate-free %d, paper's tree %d", sr.Stats.Generated, on.Stats.Generated, off.Stats.Generated)
+	}
+
+	p, err := req.params()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := p
+	q.DuplicateFree = false
+	if solveKey(cg, "m=3", p, req, false, time.Second) == solveKey(cg, "m=3", q, req, false, time.Second) {
+		t.Fatal("the cache key does not tell duplicate-free solves apart")
+	}
+}

@@ -46,7 +46,11 @@
 # baseline entry, hotalloc.allow entry, or wireschema.snap drift — a
 # `go vet` of the nested benchmark module cmd/bbperf, which the root
 # build and vet do not compile, so an internal API change that breaks the
-# benchmark fails here rather than when the benchmark runs — three
+# benchmark fails here rather than when the benchmark runs — a quick
+# smoke run of the benchmark itself (`bash cmd/bbperf/bench.sh --quick`,
+# which builds it as the benchmark does and checks every answer of all
+# five workloads against the committed catalog, so a wrong answer or a
+# broken benchmark build fails here first) — three
 # 10-second native fuzz runs over their committed seed corpora
 # (testdata/fuzz in each package): taskgraph.Canonical, the one-pass graph
 # decoder against encoding/json (FuzzGraphJSON), and the one-pass request
@@ -128,6 +132,9 @@ if [ "${1:-}" = "vet" ]; then
 
     echo "==> go vet ./... in the nested benchmark module cmd/bbperf"
     GOWORK=off go -C cmd/bbperf vet ./...
+
+    echo "==> bench.sh --quick (every answer of the five benchmark workloads against the catalog)"
+    bash cmd/bbperf/bench.sh --quick
 
     echo "==> go test -fuzz FuzzCanonical -fuzztime 10s ./internal/taskgraph"
     go test -run '^$' -fuzz '^FuzzCanonical$' -fuzztime 10s ./internal/taskgraph
