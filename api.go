@@ -269,11 +269,10 @@ func DefaultExperiment() ExperimentConfig { return exp.Default() }
 // QuickExperiment returns a reduced experiment protocol.
 func QuickExperiment() ExperimentConfig { return exp.Quick() }
 
-// RunExperiment evaluates one of the paper's experiments by ID: "fig3a",
-// "fig3b", "fig3c", "fig3c-scaled", "disc-parallelism", "disc-ccr", "disc-upperbound",
-// "disc-memory".
+// RunExperiment evaluates one of the experiments Experiments lists, by ID
+// ("fig3a", "fault-sweep", ...).
 func RunExperiment(id string, cfg ExperimentConfig) (Figure, error) {
-	runner, err := exp.ByName(id)
+	runner, err := exp.ByName(exp.Figures(), id)
 	if err != nil {
 		return Figure{}, err
 	}
@@ -281,7 +280,7 @@ func RunExperiment(id string, cfg ExperimentConfig) (Figure, error) {
 }
 
 // Experiments lists the available experiment IDs in presentation order.
-func Experiments() []string { return exp.All() }
+func Experiments() []string { return exp.IDs(exp.Figures()) }
 
 // ImproveOptions tunes the local-search post-optimizer.
 type ImproveOptions = improve.Options

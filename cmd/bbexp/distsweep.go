@@ -1,26 +1,18 @@
-package server
+package main
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"net"
-	"net/http"
 	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/deadline"
 	"repro/internal/dist"
 	"repro/internal/exp"
-	"repro/internal/gen"
 	"repro/internal/platform"
 	"repro/internal/taskgraph"
 )
-
-func init() {
-	exp.Register("dist-sweep", DistSweep)
-}
 
 // The sweep axes; tests shrink them.
 var (
@@ -108,15 +100,15 @@ func DistSweep(cfg exp.Config) (exp.Figure, error) {
 
 		bases := make([]baseline, len(distSweepSeeds))
 		for ii, seed := range distSweepSeeds {
-			g := gen.New(cfg.Workload, seed).Graph()
-			if err := deadline.Assign(g, cfg.Workload.Laxity, cfg.Slicing); err != nil {
+			g, err := sweepGraph(cfg, seed)
+			if err != nil {
 				return exp.Figure{}, err
 			}
 			plat := platform.New(3)
 			t0 := time.Now()
 			res, err := core.Solve(g, plat, p)
 			if err != nil {
-				return exp.Figure{}, fmt.Errorf("server: dist sweep baseline seed %d: %v", seed, err)
+				return exp.Figure{}, fmt.Errorf("dist sweep baseline seed %d: %v", seed, err)
 			}
 			bases[ii] = baseline{g: g, plat: plat, wall: time.Since(t0), res: res}
 			if cfg.Logf != nil {
@@ -138,10 +130,10 @@ func DistSweep(cfg exp.Config) (exp.Figure, error) {
 				for ii, base := range bases {
 					res, wall, load, err := distSolve(base.g, base.plat, mp, workers, mode.mitigate)
 					if err != nil {
-						return exp.Figure{}, fmt.Errorf("server: dist sweep %s w=%d: %v", variant, workers, err)
+						return exp.Figure{}, fmt.Errorf("dist sweep %s w=%d: %v", variant, workers, err)
 					}
 					if res.Cost != base.res.Cost {
-						return exp.Figure{}, fmt.Errorf("server: dist sweep %s w=%d seed %d: distributed cost %d != sequential %d",
+						return exp.Figure{}, fmt.Errorf("dist sweep %s w=%d seed %d: distributed cost %d != sequential %d",
 							variant, workers, distSweepSeeds[ii], res.Cost, base.res.Cost)
 					}
 					pt.Vertices.Add(base.wall.Seconds() / wall.Seconds())
@@ -211,19 +203,17 @@ func distSolve(g *taskgraph.Graph, plat platform.Platform, p core.Params, worker
 		// while the default 3s LeaseTTL keeps live workers unevicted.
 		Heartbeat: 5 * time.Millisecond,
 	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	lb, err := listen()
 	if err != nil {
 		return core.Result{}, 0, distLoad{}, err
 	}
-	hs := &http.Server{Handler: fleet.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
+	lb.serve(fleet.Handler())
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wcfg := dist.WorkerConfig{
-			Coordinator: "http://" + ln.Addr().String(),
+			Coordinator: lb.url,
 			Name:        fmt.Sprintf("sweep-%d", i),
 			Poll:        2 * time.Millisecond,
 		}
@@ -263,8 +253,7 @@ func distSolve(g *taskgraph.Graph, plat platform.Platform, p core.Params, worker
 
 	cancel()
 	wg.Wait()
-	_ = hs.Close() // loopback listener teardown
-	<-serveErr
+	lb.stop()
 	if err != nil {
 		return core.Result{}, 0, distLoad{}, err
 	}

@@ -1,4 +1,4 @@
-package server
+package main
 
 import (
 	"testing"
@@ -7,9 +7,10 @@ import (
 	"repro/internal/exp"
 )
 
+// TestDistSweepRegistered checks bbexp resolves dist-sweep by name.
 func TestDistSweepRegistered(t *testing.T) {
-	if _, err := exp.ByName("dist-sweep"); err != nil {
-		t.Fatalf("dist-sweep not registered: %v", err)
+	if _, err := exp.ByName(experiments, "dist-sweep"); err != nil {
+		t.Fatalf("dist-sweep not in bbexp's experiments: %v", err)
 	}
 }
 

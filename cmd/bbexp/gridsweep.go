@@ -1,24 +1,18 @@
-package server
+package main
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"sort"
 	"time"
 
-	"repro/internal/deadline"
 	"repro/internal/exp"
-	"repro/internal/gen"
 	"repro/internal/grid"
+	"repro/internal/server"
 	"repro/internal/taskgraph"
 )
-
-func init() {
-	exp.Register("grid-sweep", GridSweep)
-}
 
 // The sweep axes; tests shrink them.
 var (
@@ -70,14 +64,7 @@ func GridSweep(cfg exp.Config) (exp.Figure, error) {
 	var jobs []gridSweepJob
 	for ti, ten := range gridSweepTenants {
 		for i := 0; i < gridSweepGraphs; i++ {
-			g := gen.New(cfg.Workload, cfg.Seed+int64(ti*gridSweepGraphs+i)).Graph()
-			if err := deadline.Assign(g, cfg.Workload.Laxity, cfg.Slicing); err != nil {
-				return exp.Figure{}, err
-			}
-			body, err := json.Marshal(SolveRequest{
-				GraphRequest: GraphRequest{Graph: g, Procs: 4},
-				BudgetMS:     budget.Milliseconds(),
-			})
+			body, err := solveBody(cfg, cfg.Seed+int64(ti*gridSweepGraphs+i), 4, budget)
 			if err != nil {
 				return exp.Figure{}, err
 			}
@@ -140,7 +127,7 @@ func GridSweep(cfg exp.Config) (exp.Figure, error) {
 			}
 			stop()
 			if err != nil {
-				return exp.Figure{}, fmt.Errorf("server: grid sweep %s r=%d: %v", mode.name, replicas, err)
+				return exp.Figure{}, fmt.Errorf("grid sweep %s r=%d: %v", mode.name, replicas, err)
 			}
 		}
 	}
@@ -215,7 +202,7 @@ func gridSweepPhase(urls []string, jobs []gridSweepJob, rotate int) (map[string]
 		if err != nil {
 			return nil, err
 		}
-		var sr SolveResponse
+		var sr server.SolveResponse
 		err = json.NewDecoder(resp.Body).Decode(&sr)
 		_ = resp.Body.Close()
 		lat := time.Since(t0)
@@ -246,26 +233,23 @@ func gridSweepPhase(urls []string, jobs []gridSweepJob, rotate int) (map[string]
 // listeners — peered through the cache grid or isolated — and returns
 // their base URLs plus a teardown closure.
 func startSweepFleet(replicas int, peered bool) ([]string, func(), error) {
-	lns := make([]net.Listener, replicas)
+	lbs := make([]*loopback, replicas)
 	urls := make([]string, replicas)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+	for i := range lbs {
+		lb, err := listen()
 		if err != nil {
-			for _, l := range lns[:i] {
-				_ = l.Close()
+			for _, l := range lbs[:i] {
+				_ = l.ln.Close() // never served
 			}
 			return nil, nil, err
 		}
-		lns[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
+		lbs[i], urls[i] = lb, lb.url
 	}
 
-	srvs := make([]*Server, replicas)
+	srvs := make([]*server.Server, replicas)
 	nodes := make([]*grid.Node, replicas)
-	hss := make([]*http.Server, replicas)
-	dones := make([]chan struct{}, replicas)
 	for i := range srvs {
-		cfg := Config{
+		cfg := server.Config{
 			Workers:       2,
 			DefaultBudget: 5 * time.Second,
 			Tenants:       gridSweepTenants,
@@ -280,19 +264,13 @@ func startSweepFleet(replicas int, peered bool) ([]string, func(), error) {
 			nodes[i] = grid.NewNode(grid.NodeConfig{Self: urls[i], Peers: peers})
 			cfg.Grid = nodes[i]
 		}
-		srvs[i] = New(cfg)
-		hss[i] = &http.Server{Handler: srvs[i].Handler()}
-		dones[i] = make(chan struct{})
-		go func(hs *http.Server, ln net.Listener, done chan struct{}) {
-			defer close(done)
-			_ = hs.Serve(ln)
-		}(hss[i], lns[i], dones[i])
+		srvs[i] = server.New(cfg)
+		lbs[i].serve(srvs[i].Handler())
 	}
 
 	stop := func() {
 		for i := range srvs {
-			_ = hss[i].Close()
-			<-dones[i]
+			lbs[i].stop()
 			srvs[i].Close()
 			if nodes[i] != nil {
 				nodes[i].Close()

@@ -1,4 +1,4 @@
-package server
+package main
 
 import (
 	"strings"
@@ -7,9 +7,10 @@ import (
 	"repro/internal/exp"
 )
 
+// TestGridSweepRegistered checks bbexp resolves grid-sweep by name.
 func TestGridSweepRegistered(t *testing.T) {
-	if _, err := exp.ByName("grid-sweep"); err != nil {
-		t.Fatalf("grid-sweep not registered: %v", err)
+	if _, err := exp.ByName(experiments, "grid-sweep"); err != nil {
+		t.Fatalf("grid-sweep not in bbexp's experiments: %v", err)
 	}
 }
 

@@ -6,9 +6,10 @@
 //	bbexp [flags] [experiment ...]
 //
 // With no arguments, every experiment runs in presentation order:
-// fig3a, fig3b, fig3c, disc-parallelism, disc-ccr, disc-upperbound,
-// disc-memory, plus the registered extensions (fault-sweep, serve-sweep,
-// dist-sweep).
+// fig3a, fig3b, fig3c, fig3c-scaled, fig3a-tie, disc-parallelism,
+// disc-ccr, disc-upperbound, disc-memory, fault-sweep, partition-sweep
+// (internal/exp), then the serving figures defined in this command:
+// dist-sweep, grid-sweep, serve-sweep.
 //
 //	-quick          reduced protocol (fixed few runs, for smoke tests)
 //	-runs int       override the (minimum) number of runs per point
@@ -19,6 +20,9 @@
 //	-csv            print CSV blocks after each table
 //	-journal path   crash-safe JSONL journal of completed sweep positions
 //	-resume         resume from the journal instead of truncating it
+//	-paired A/B     per-instance paired vertex ratios of series A and B
+//	-plot dir       write an SVG plot per figure into dir
+//	-dist           per-variant vertex-count distributions (log-decade histograms)
 //	-v              progress logging to stderr
 //
 // A run killed mid-sweep loses nothing: restart it with the same flags
@@ -36,7 +40,15 @@ import (
 	"time"
 
 	"repro/internal/exp"
-	_ "repro/internal/server" // registers the serve-sweep experiment
+)
+
+// experiments is every figure bbexp runs, in presentation order: the
+// harness's own, then the serving figures, which live here because only
+// cmd binaries may import the serving daemon.
+var experiments = append(exp.Figures(),
+	exp.Experiment{ID: "dist-sweep", Run: DistSweep},
+	exp.Experiment{ID: "grid-sweep", Run: GridSweep},
+	exp.Experiment{ID: "serve-sweep", Run: ServeSweep},
 )
 
 func main() {
@@ -96,10 +108,10 @@ func main() {
 
 	ids := flag.Args()
 	if len(ids) == 0 {
-		ids = exp.All()
+		ids = exp.IDs(experiments)
 	}
 	for _, id := range ids {
-		runner, err := exp.ByName(id)
+		runner, err := exp.ByName(experiments, id)
 		if err != nil {
 			fatal(err)
 		}

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/exp"
 )
 
 // TestMain lets tests re-exec this binary as bbexp itself: with
@@ -81,6 +83,27 @@ func TestResumeNeedsJournal(t *testing.T) {
 	}
 	if _, err := bbexp(t, "-resume", "fig3a"); err == nil {
 		t.Fatal("-resume without -journal accepted")
+	}
+}
+
+// TestExperimentList pins bbexp's figures and their presentation order:
+// the harness's eleven, then the three serving figures.
+func TestExperimentList(t *testing.T) {
+	want := []string{"fig3a", "fig3b", "fig3c", "fig3c-scaled", "fig3a-tie",
+		"disc-parallelism", "disc-ccr", "disc-upperbound", "disc-memory",
+		"fault-sweep", "partition-sweep", "dist-sweep", "grid-sweep", "serve-sweep"}
+	got := exp.IDs(experiments)
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("experiments = %v, want %v", got, want)
+	}
+	for _, id := range want {
+		if run, err := exp.ByName(experiments, id); err != nil || run == nil {
+			t.Errorf("ByName(%q): %v", id, err)
+		}
+	}
+	_, err := exp.ByName(experiments, "nope")
+	if err == nil || !strings.Contains(err.Error(), "(want "+strings.Join(want, ", ")+")") {
+		t.Fatalf("unknown ID: err = %v, want one listing every ID", err)
 	}
 }
 

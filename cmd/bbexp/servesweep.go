@@ -1,4 +1,4 @@
-package server
+package main
 
 import (
 	"bytes"
@@ -14,11 +14,9 @@ import (
 	"repro/internal/deadline"
 	"repro/internal/exp"
 	"repro/internal/gen"
+	"repro/internal/server"
+	"repro/internal/taskgraph"
 )
-
-func init() {
-	exp.Register("serve-sweep", ServeSweep)
-}
 
 // sweepConcurrency is the client-count sweep; a test shrinks it.
 var sweepConcurrency = []int{1, 2, 4, 8}
@@ -67,31 +65,28 @@ func ServeSweep(cfg exp.Config) (exp.Figure, error) {
 	}
 
 	for j, clients := range sweepConcurrency {
-		srv := New(Config{
+		lb, err := listen()
+		if err != nil {
+			return exp.Figure{}, fmt.Errorf("serve sweep: %v", err)
+		}
+		srv := server.New(server.Config{
 			Workers:       clients,
 			QueueDepth:    requests, // admission control is not under test here
 			DefaultBudget: cfg.TimeLimit,
 			MaxBudget:     cfg.TimeLimit,
 		})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return exp.Figure{}, fmt.Errorf("server: serve sweep: %v", err)
-		}
-		hs := &http.Server{Handler: srv.Handler()}
-		serveErr := make(chan error, 1)
-		go func() { serveErr <- hs.Serve(ln) }()
-		base := "http://" + ln.Addr().String()
+		lb.serve(srv.Handler())
 
 		for i := range passes {
 			pt := &series[i].Points[j]
-			res, err := firePass(base, bodies, clients)
+			var res passResult
+			res, err = firePass(lb.url, bodies, clients)
 			if err == nil && res.failures > 0 {
 				err = fmt.Errorf("%d of %d requests failed", res.failures, requests)
 			}
 			if err != nil {
-				_ = hs.Close() // already failing
-				srv.Close()
-				return exp.Figure{}, fmt.Errorf("server: serve sweep c=%d %s pass: %v", clients, passes[i], err)
+				err = fmt.Errorf("serve sweep c=%d %s pass: %v", clients, passes[i], err)
+				break
 			}
 			pt.Vertices.Add(float64(requests) / res.wall.Seconds())
 			for _, l := range res.latencies {
@@ -104,10 +99,11 @@ func ServeSweep(cfg exp.Config) (exp.Figure, error) {
 					clients, passes[i], float64(requests)/res.wall.Seconds(), res.hits, requests)
 			}
 		}
-
-		_ = hs.Close() // loopback listener teardown
+		lb.stop()
 		srv.Close()
-		<-serveErr
+		if err != nil {
+			return exp.Figure{}, err
+		}
 	}
 
 	return exp.Figure{
@@ -126,23 +122,70 @@ func ServeSweep(cfg exp.Config) (exp.Figure, error) {
 // sweepBodies prepares the replay pool: distinct instances, marshaled
 // /v1/solve bodies.
 func sweepBodies(cfg exp.Config, procs, requests int) ([][]byte, error) {
-	slicing := cfg.Slicing // zero value is deadline.EqualSlack
 	bodies := make([][]byte, requests)
 	for i := range bodies {
-		g := gen.New(cfg.Workload, cfg.Seed+int64(i)).Graph()
-		if err := deadline.Assign(g, cfg.Workload.Laxity, slicing); err != nil {
-			return nil, err
-		}
-		body, err := json.Marshal(SolveRequest{
-			GraphRequest: GraphRequest{Graph: g, Procs: procs},
-			BudgetMS:     cfg.TimeLimit.Milliseconds(),
-		})
+		body, err := solveBody(cfg, cfg.Seed+int64(i), procs, cfg.TimeLimit)
 		if err != nil {
 			return nil, err
 		}
 		bodies[i] = body
 	}
 	return bodies, nil
+}
+
+// sweepGraph is the serving figures' instance: cfg's workload drawn from
+// seed, with deadlines sliced under cfg's policy.
+func sweepGraph(cfg exp.Config, seed int64) (*taskgraph.Graph, error) {
+	g := gen.New(cfg.Workload, seed).Graph()
+	if err := deadline.Assign(g, cfg.Workload.Laxity, cfg.Slicing); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// solveBody marshals sweepGraph(cfg, seed) as a /v1/solve body on procs
+// processors under budget.
+func solveBody(cfg exp.Config, seed int64, procs int, budget time.Duration) ([]byte, error) {
+	g, err := sweepGraph(cfg, seed)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(server.SolveRequest{
+		GraphRequest: server.GraphRequest{Graph: g, Procs: procs},
+		BudgetMS:     budget.Milliseconds(),
+	})
+}
+
+// loopback is an HTTP server on a 127.0.0.1 port the kernel picks. listen
+// binds the port, so a fleet can hand every member's URL to every member
+// before any handler exists; serve starts serving and stop closes the
+// server and joins its Serve goroutine.
+type loopback struct {
+	url  string
+	ln   net.Listener
+	hs   http.Server
+	done chan struct{}
+}
+
+func listen() (*loopback, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	return &loopback{url: "http://" + ln.Addr().String(), ln: ln, done: make(chan struct{})}, nil
+}
+
+func (l *loopback) serve(h http.Handler) {
+	l.hs.Handler = h
+	go func() {
+		defer close(l.done)
+		_ = l.hs.Serve(l.ln) // returns once stop closes the server
+	}()
+}
+
+func (l *loopback) stop() {
+	_ = l.hs.Close() // loopback listener teardown
+	<-l.done
 }
 
 // passResult is one measured closed-loop pass.

@@ -1,4 +1,4 @@
-package server
+package main
 
 import (
 	"testing"
@@ -7,18 +7,20 @@ import (
 	"repro/internal/exp"
 )
 
+// TestServeSweepRegistered checks bbexp resolves serve-sweep by name and
+// lists it among its experiments.
 func TestServeSweepRegistered(t *testing.T) {
-	if _, err := exp.ByName("serve-sweep"); err != nil {
-		t.Fatalf("serve-sweep not registered: %v", err)
+	if _, err := exp.ByName(experiments, "serve-sweep"); err != nil {
+		t.Fatalf("serve-sweep not in bbexp's experiments: %v", err)
 	}
 	found := false
-	for _, id := range exp.All() {
+	for _, id := range exp.IDs(experiments) {
 		if id == "serve-sweep" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("exp.All() does not list serve-sweep: %v", exp.All())
+		t.Fatalf("exp.IDs(experiments) does not list serve-sweep: %v", exp.IDs(experiments))
 	}
 }
 

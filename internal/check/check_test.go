@@ -150,6 +150,10 @@ func TestLayeringJSONReadFixture(t *testing.T) {
 	runFixture(t, LayeringAnalyzer, "testdata/layering/jsonread", "repro/internal/jsonread", false)
 }
 
+func TestLayeringServerFixture(t *testing.T) {
+	runFixture(t, LayeringAnalyzer, "testdata/layering/server", "repro/internal/server", false)
+}
+
 func TestLayeringUnknownPackageFixture(t *testing.T) {
 	runFixture(t, LayeringAnalyzer, "testdata/layering/unknown", "repro/internal/mystery", false)
 }

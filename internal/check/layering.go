@@ -135,13 +135,15 @@ var layerAllowed = map[string][]string{
 	// Layer 6: the serving daemon over the facade-level packages. It may
 	// import broadly (it fronts every solver), but nothing outside cmd/*
 	// may import IT — enforced as a universal rule in runLayering, so that
-	// no library or facade code can grow a dependency on the service.
+	// no library or facade code can grow a dependency on the service. It
+	// serves solves, not experiments: the serving figures live in
+	// cmd/bbexp, so the daemon links neither the experiment harness nor
+	// workload generation.
 	"internal/server": {
-		"internal/analysis", "internal/core", "internal/deadline", "internal/dist",
-		"internal/exp", "internal/faults", "internal/gen", "internal/grid",
-		"internal/hetero", "internal/jsonread", "internal/listsched", "internal/peer",
-		"internal/platform", "internal/portfolio", "internal/rescue", "internal/sched",
-		"internal/taskgraph",
+		"internal/analysis", "internal/core", "internal/dist", "internal/faults",
+		"internal/grid", "internal/hetero", "internal/jsonread", "internal/listsched",
+		"internal/peer", "internal/platform", "internal/portfolio", "internal/rescue",
+		"internal/sched", "internal/taskgraph",
 	},
 }
 

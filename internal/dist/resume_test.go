@@ -410,6 +410,7 @@ func TestFirstReportWinsDedup(t *testing.T) {
 	}
 	var lease LeaseResponse
 	for {
+		lease = LeaseResponse{} // a None reply must not outlive its poll: grants omit "none"
 		if err := poster.post(ctx, "/dist/v1/lease", LeaseRequest{WorkerID: join.WorkerID, Max: 1}, &lease); err != nil {
 			t.Fatal(err)
 		}

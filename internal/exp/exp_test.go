@@ -118,7 +118,7 @@ func TestFig3cOrdering(t *testing.T) {
 func TestDiscussionRunnersProduceSeries(t *testing.T) {
 	cfg := tinyConfig()
 	for _, id := range []string{"disc-parallelism", "disc-ccr", "disc-upperbound", "disc-memory"} {
-		runner, err := ByName(id)
+		runner, err := ByName(Figures(), id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,12 +161,13 @@ func TestDiscussionUpperBoundDirection(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, id := range All() {
-		if _, err := ByName(id); err != nil {
+	figs := Figures()
+	for _, id := range IDs(figs) {
+		if _, err := ByName(figs, id); err != nil {
 			t.Errorf("ByName(%q): %v", id, err)
 		}
 	}
-	if _, err := ByName("nope"); err == nil {
+	if _, err := ByName(figs, "nope"); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }

@@ -38,6 +38,7 @@ import (
 // one must survive). The sweep is non-adaptive: cfg.Runs instances per
 // fraction.
 func FaultSweep(cfg Config) (Figure, error) {
+	// Validate before reading the platform off the processor sweep.
 	if err := cfg.Validate(); err != nil {
 		return Figure{}, err
 	}
@@ -58,60 +59,43 @@ func FaultSweep(cfg Config) (Figure, error) {
 	// Journal keys reuse the sweep fingerprint; the variant names (with the
 	// budget spelled out) keep fault-sweep entries disjoint from the
 	// solver sweeps.
+	names := make([]string, len(variants))
 	keyVariants := make([]Variant, len(variants))
 	for i, v := range variants {
+		names[i] = v.name
 		keyVariants[i] = Variant{Name: fmt.Sprintf("fault:%s budget=%v(%s)", v.name, v.budget, cfg.TimeLimit)}
 	}
-
-	series := make([]Series, len(variants))
-	for i, v := range variants {
-		series[i] = Series{Variant: v.name, Points: make([]Point, len(fracs))}
-		for j, frac := range fracs {
-			series[i].Points[j] = Point{Variant: v.name, X: frac}
-		}
+	pts := make([]sweepPoint, len(fracs))
+	for j, frac := range fracs {
+		pts[j] = sweepPoint{x: frac, workload: cfg.Workload, laxity: cfg.Workload.Laxity, procs: m}
 	}
 
 	plat := platform.New(m)
-	for j, frac := range fracs {
-		pt := sweepPoint{x: frac, workload: cfg.Workload, laxity: cfg.Workload.Laxity, procs: m}
-		var key string
-		if cfg.Journal != nil {
-			key = positionKey(cfg, keyVariants, pt, j)
-			if saved, ok := cfg.Journal.Lookup(key); ok && len(saved) == len(variants) {
-				for i := range variants {
-					series[i].Points[j] = saved[i]
-				}
-				cfg.logf("exp: fault sweep x=%v restored from journal", frac)
-				continue
-			}
-		}
-
-		posSeed := cfg.Seed + int64(j)*7919
-		gg := gen.New(cfg.Workload, posSeed)
+	series, err := sweep(cfg, names, keyVariants, pts, func(pt sweepPoint, posSeed int64, gg *gen.Generator, row []Point) error {
 		model := faults.NewModel(posSeed*31 + 1)
 		for run := 0; run < cfg.Runs; run++ {
 			g := gg.Graph()
-			if err := deadline.Assign(g, cfg.Workload.Laxity, cfg.Slicing); err != nil {
-				return Figure{}, err
+			if err := deadline.Assign(g, pt.laxity, cfg.Slicing); err != nil {
+				return err
 			}
 			static, err := listsched.Best(g, plat)
 			if err != nil {
-				return Figure{}, err
+				return err
 			}
 			fault := model.ProcFailure(plat, static.Schedule.Makespan())
 			// The model draws the victim; the sweep dictates the instant.
-			fault.At = taskgraph.Time(frac * float64(static.Schedule.Makespan()))
+			fault.At = taskgraph.Time(pt.x * float64(static.Schedule.Makespan()))
 			sc := &faults.Scenario{Faults: []faults.Fault{fault}}
 
 			for i, v := range variants {
-				p := &series[i].Points[j]
+				p := &row[i]
 				opt := rescue.Options{}
 				if v.budget {
 					opt.Budget = cfg.TimeLimit
 				}
 				out, err := rescue.Recover(context.Background(), static.Schedule, sc, nil, opt)
 				if err != nil {
-					return Figure{}, fmt.Errorf("exp: fault sweep posSeed=%d run=%d: %w", posSeed, run, err)
+					return fmt.Errorf("exp: fault sweep posSeed=%d run=%d: %w", posSeed, run, err)
 				}
 				if out.BB != nil {
 					p.Vertices.AddInt(out.BB.Stats.Generated)
@@ -126,21 +110,10 @@ func FaultSweep(cfg Config) (Figure, error) {
 				p.Runs++
 			}
 		}
-
-		if cfg.Journal != nil {
-			pts := make([]Point, len(variants))
-			for i := range variants {
-				pts[i] = series[i].Points[j]
-			}
-			if err := cfg.Journal.Record(key, pts); err != nil {
-				return Figure{}, err
-			}
-		}
-		for i := range series {
-			cfg.logf("exp: %s x=%v: %d runs, mean post-fault Lmax %.1f, mean misses %.1f",
-				series[i].Variant, frac, series[i].Points[j].Runs,
-				series[i].Points[j].Lateness.Mean(), series[i].Points[j].MaxAS.Mean())
-		}
+		return nil
+	})
+	if err != nil {
+		return Figure{}, err
 	}
 	return Figure{
 		ID:     "fault-sweep",

@@ -220,52 +220,46 @@ func DiscussionMemory(cfg Config) (Figure, error) {
 		XLabel: "processors", Series: series}, nil
 }
 
-// ByName returns the experiment runner with the given ID: a built-in
-// figure or an extension added via Register.
-func ByName(id string) (func(Config) (Figure, error), error) {
-	if run := builtin(id); run != nil {
-		return run, nil
-	}
-	if run := extension(id); run != nil {
-		return run, nil
-	}
-	return nil, fmt.Errorf("exp: unknown experiment %q (want %s)", id, strings.Join(All(), ", "))
+// Experiment pairs a figure ID with the runner that evaluates it.
+type Experiment struct {
+	ID  string
+	Run func(Config) (Figure, error)
 }
 
-// builtin resolves this package's own figures; nil when id is not one.
-func builtin(id string) func(Config) (Figure, error) {
-	switch id {
-	case "fig3a":
-		return Fig3a
-	case "fig3b":
-		return Fig3b
-	case "fig3c":
-		return Fig3c
-	case "fig3c-scaled":
-		return Fig3cScaled
-	case "fig3a-tie":
-		return Fig3aTie
-	case "disc-parallelism":
-		return DiscussionParallelism
-	case "disc-ccr":
-		return DiscussionCCR
-	case "disc-upperbound":
-		return DiscussionUpperBound
-	case "disc-memory":
-		return DiscussionMemory
-	case "fault-sweep":
-		return FaultSweep
-	case "partition-sweep":
-		return PartitionSweep
+// Figures lists this package's experiments in presentation order. The
+// list is fresh on every call, so a caller may append its own.
+func Figures() []Experiment {
+	return []Experiment{
+		{"fig3a", Fig3a},
+		{"fig3b", Fig3b},
+		{"fig3c", Fig3c},
+		{"fig3c-scaled", Fig3cScaled},
+		{"fig3a-tie", Fig3aTie},
+		{"disc-parallelism", DiscussionParallelism},
+		{"disc-ccr", DiscussionCCR},
+		{"disc-upperbound", DiscussionUpperBound},
+		{"disc-memory", DiscussionMemory},
+		{"fault-sweep", FaultSweep},
+		{"partition-sweep", PartitionSweep},
 	}
-	return nil
 }
 
-// All lists every experiment ID in presentation order: built-ins first,
-// then registered extensions in registration order.
-func All() []string {
-	ids := []string{"fig3a", "fig3b", "fig3c", "fig3c-scaled", "fig3a-tie",
-		"disc-parallelism", "disc-ccr", "disc-upperbound", "disc-memory",
-		"fault-sweep", "partition-sweep"}
-	return append(ids, extensions()...)
+// ByName returns the runner of the experiment in list with the given ID.
+// The error for an unknown ID names every ID in list.
+func ByName(list []Experiment, id string) (func(Config) (Figure, error), error) {
+	for _, e := range list {
+		if e.ID == id {
+			return e.Run, nil
+		}
+	}
+	return nil, fmt.Errorf("exp: unknown experiment %q (want %s)", id, strings.Join(IDs(list), ", "))
+}
+
+// IDs lists the IDs of list in its order.
+func IDs(list []Experiment) []string {
+	ids := make([]string, len(list))
+	for i, e := range list {
+		ids[i] = e.ID
+	}
+	return ids
 }

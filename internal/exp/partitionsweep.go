@@ -48,10 +48,6 @@ import (
 // the dispatch order matter; partitioned search effort stays small on
 // the sporadic family (iteration chains pin most of the assignment).
 func PartitionSweep(cfg Config) (Figure, error) {
-	if err := cfg.Validate(); err != nil {
-		return Figure{}, err
-	}
-
 	type cell struct {
 		family      string
 		partitioned bool
@@ -62,16 +58,15 @@ func PartitionSweep(cfg Config) (Figure, error) {
 		{family: "sporadic", partitioned: false},
 		{family: "sporadic", partitioned: true},
 	}
-	name := func(c cell) string {
+	names := make([]string, len(cells))
+	keyVariants := make([]Variant, len(cells))
+	for i, c := range cells {
 		mode := "global"
 		if c.partitioned {
 			mode = "partitioned"
 		}
-		return mode + " / " + c.family
-	}
-	keyVariants := make([]Variant, len(cells))
-	for i, c := range cells {
-		keyVariants[i] = Variant{Name: "partition:" + name(c)}
+		names[i] = mode + " / " + c.family
+		keyVariants[i] = Variant{Name: "partition:" + names[i]}
 	}
 
 	// The DAG family reuses the configured workload with the task count
@@ -83,37 +78,19 @@ func PartitionSweep(cfg Config) (Figure, error) {
 	dagW := cfg.Workload
 	dagW.NMin, dagW.NMax = 8, 10
 	dagW.Laxity = 1.2
-
-	series := make([]Series, len(cells))
-	for i, c := range cells {
-		series[i] = Series{Variant: name(c), Points: make([]Point, len(cfg.Procs))}
+	pts := make([]sweepPoint, len(cfg.Procs))
+	for j, m := range cfg.Procs {
+		pts[j] = sweepPoint{x: float64(m), workload: dagW, laxity: dagW.Laxity, procs: m}
 	}
 
-	for j, m := range cfg.Procs {
-		pt := sweepPoint{x: float64(m), workload: dagW, laxity: dagW.Laxity, procs: m}
-		for i, c := range cells {
-			series[i].Points[j] = Point{Variant: name(c), X: float64(m)}
-		}
-		var key string
-		if cfg.Journal != nil {
-			key = positionKey(cfg, keyVariants, pt, j)
-			if saved, ok := cfg.Journal.Lookup(key); ok && len(saved) == len(cells) {
-				for i := range cells {
-					series[i].Points[j] = saved[i]
-				}
-				cfg.logf("exp: partition sweep m=%d restored from journal", m)
-				continue
-			}
-		}
-
+	series, err := sweep(cfg, names, keyVariants, pts, func(pt sweepPoint, posSeed int64, gg *gen.Generator, row []Point) error {
+		m := pt.procs
 		plat := platform.New(m)
 		plat.Speed = make([]float64, m)
 		for q := range plat.Speed {
 			plat.Speed[q] = 1 / float64(1+q&1) // 1, ½, 1, ½, …
 		}
 
-		posSeed := cfg.Seed + int64(j)*7919
-		gg := gen.New(dagW, posSeed)
 		// Sporadic family: ~45% utilization per unit-speed processor,
 		// stretched arrivals over two base periods.
 		pp := gen.PeriodicParams{
@@ -127,33 +104,33 @@ func PartitionSweep(cfg Config) (Figure, error) {
 			graphs := make(map[string]*taskgraph.Graph, 2)
 
 			g := gg.Graph()
-			if err := deadline.Assign(g, dagW.Laxity, cfg.Slicing); err != nil {
-				return Figure{}, err
+			if err := deadline.Assign(g, pt.laxity, cfg.Slicing); err != nil {
+				return err
 			}
 			graphs["dag"] = g
 
 			ts, err := gg.PeriodicTaskSet(pp)
 			if err != nil {
-				return Figure{}, err
+				return err
 			}
 			rel, err := gg.Releases(ts, rp)
 			if err != nil {
-				return Figure{}, err
+				return err
 			}
 			ex, err := periodic.UnrollReleases(ts, rel)
 			if err != nil {
-				return Figure{}, err
+				return err
 			}
 			graphs["sporadic"] = ex.Graph
 
 			for i, c := range cells {
-				p := &series[i].Points[j]
+				p := &row[i]
 				ig := graphs[c.family]
 				if c.partitioned {
 					res, err := hetero.SolvePartitioned(context.Background(), ig, plat,
 						hetero.Options{TimeLimit: cfg.TimeLimit})
 					if err != nil {
-						return Figure{}, fmt.Errorf("exp: partition sweep posSeed=%d run=%d: %w", posSeed, run, err)
+						return fmt.Errorf("exp: partition sweep posSeed=%d run=%d: %w", posSeed, run, err)
 					}
 					if !res.Optimal {
 						p.Censored++
@@ -169,7 +146,7 @@ func PartitionSweep(cfg Config) (Figure, error) {
 				params.Resources.TimeLimit = cfg.TimeLimit
 				res, err := core.Solve(ig, plat, params)
 				if err != nil {
-					return Figure{}, fmt.Errorf("exp: partition sweep posSeed=%d run=%d: %w", posSeed, run, err)
+					return fmt.Errorf("exp: partition sweep posSeed=%d run=%d: %w", posSeed, run, err)
 				}
 				if res.Stats.TimedOut {
 					p.Censored++
@@ -181,21 +158,10 @@ func PartitionSweep(cfg Config) (Figure, error) {
 				p.Runs++
 			}
 		}
-
-		if cfg.Journal != nil {
-			pts := make([]Point, len(cells))
-			for i := range cells {
-				pts[i] = series[i].Points[j]
-			}
-			if err := cfg.Journal.Record(key, pts); err != nil {
-				return Figure{}, err
-			}
-		}
-		for i := range series {
-			cfg.logf("exp: %s m=%d: %d runs (%d censored), mean vertices %.0f, mean Lmax %.1f",
-				series[i].Variant, m, series[i].Points[j].Runs, series[i].Points[j].Censored,
-				series[i].Points[j].Vertices.Mean(), series[i].Points[j].Lateness.Mean())
-		}
+		return nil
+	})
+	if err != nil {
+		return Figure{}, err
 	}
 	return Figure{
 		ID:     "partition-sweep",

@@ -54,12 +54,6 @@ type Figure struct {
 	RunsLabel     string
 }
 
-// instance is one generated workload: the graph is shared by all variants
-// at one sweep position (paired comparison).
-type instance struct {
-	g *taskgraph.Graph
-}
-
 // sweepPoint describes one x-position of a sweep: how to generate its
 // workloads and which platform to schedule on.
 type sweepPoint struct {
@@ -72,72 +66,76 @@ type sweepPoint struct {
 // runSweep evaluates all variants over the sweep positions under the
 // config's run protocol and returns one Series per variant.
 func runSweep(cfg Config, variants []Variant, pts []sweepPoint) ([]Series, error) {
+	names := make([]string, len(variants))
+	for i, v := range variants {
+		names[i] = v.Name
+	}
+	return sweep(cfg, names, variants, pts, func(pt sweepPoint, posSeed int64, gg *gen.Generator, row []Point) error {
+		plat := platform.New(pt.procs)
+		for run := 1; run <= cfg.maxRuns(); run++ {
+			g := gg.Graph()
+			if err := deadline.Assign(g, pt.laxity, cfg.Slicing); err != nil {
+				return err
+			}
+			for i, v := range variants {
+				if err := runVariant(cfg, v, g, plat, &row[i], posSeed, run); err != nil {
+					return err
+				}
+			}
+			if run >= cfg.Runs && (!cfg.Adaptive || converged(cfg, row)) {
+				break
+			}
+		}
+		return nil
+	})
+}
+
+// sweep is the position loop of every journaled figure. It returns one
+// Series per name, one Point per position. A position journaled under
+// positionKey(cfg, keys, pt, j) is restored verbatim. Any other position
+// j gets its own seed, cfg.Seed + j·7919, so it can be evaluated (or
+// re-evaluated) independently and matches a journaled copy exactly: fill
+// evaluates it from that seed and a generator of pt.workload seeded with
+// it into row, one Point per name with Variant and X set, which is then
+// journaled.
+func sweep(cfg Config, names []string, keys []Variant, pts []sweepPoint,
+	fill func(pt sweepPoint, posSeed int64, gg *gen.Generator, row []Point) error) ([]Series, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	series := make([]Series, len(variants))
-	for i, v := range variants {
-		series[i] = Series{Variant: v.Name, Points: make([]Point, len(pts))}
-		for j := range pts {
-			series[i].Points[j] = Point{Variant: v.Name, X: pts[j].x}
-		}
+	series := make([]Series, len(names))
+	for i, name := range names {
+		series[i] = Series{Variant: name, Points: make([]Point, len(pts))}
 	}
-
 	for j, pt := range pts {
-		// A journaled position is restored verbatim; the per-position
-		// seeding below guarantees a recomputed one would be identical.
 		var key string
 		if cfg.Journal != nil {
-			key = positionKey(cfg, variants, pt, j)
-			if saved, ok := cfg.Journal.Lookup(key); ok && len(saved) == len(variants) {
-				for i := range variants {
+			key = positionKey(cfg, keys, pt, j)
+			if saved, ok := cfg.Journal.Lookup(key); ok && len(saved) == len(names) {
+				for i := range series {
 					series[i].Points[j] = saved[i]
 				}
 				cfg.logf("exp: x=%v restored from journal", pt.x)
 				continue
 			}
 		}
-
-		// Every sweep position gets its own deterministic generator so
-		// positions can be evaluated (or re-evaluated) independently.
+		row := make([]Point, len(names))
+		for i, name := range names {
+			row[i] = Point{Variant: name, X: pt.x}
+		}
 		posSeed := cfg.Seed + int64(j)*7919
-		gg := gen.New(pt.workload, posSeed)
-		plat := platform.New(pt.procs)
-
-		run := 0
-		for {
-			run++
-			if run > cfg.maxRuns() {
-				break
-			}
-			g := gg.Graph()
-			if err := deadline.Assign(g, pt.laxity, cfg.Slicing); err != nil {
-				return nil, err
-			}
-			for i, v := range variants {
-				p := &series[i].Points[j]
-				if err := runVariant(cfg, v, g, plat, p, posSeed, run); err != nil {
-					return nil, err
-				}
-			}
-			if run >= cfg.Runs && (!cfg.Adaptive || converged(cfg, series, j)) {
-				break
-			}
+		if err := fill(pt, posSeed, gen.New(pt.workload, posSeed), row); err != nil {
+			return nil, err
 		}
 		if cfg.Journal != nil {
-			pts := make([]Point, len(variants))
-			for i := range variants {
-				pts[i] = series[i].Points[j]
-			}
-			if err := cfg.Journal.Record(key, pts); err != nil {
+			if err := cfg.Journal.Record(key, row); err != nil {
 				return nil, err
 			}
 		}
-		for i := range series {
-			cfg.logf("exp: %s x=%v: %d runs (%d censored, %d failed), mean vertices %.0f",
-				series[i].Variant, pt.x, series[i].Points[j].Runs,
-				series[i].Points[j].Censored, series[i].Points[j].Failed,
-				series[i].Points[j].Vertices.Mean())
+		for i, p := range row {
+			series[i].Points[j] = p
+			cfg.logf("exp: %s x=%v: %d runs (%d censored, %d failed), mean vertices %.0f, mean lateness %.1f",
+				p.Variant, pt.x, p.Runs, p.Censored, p.Failed, p.Vertices.Mean(), p.Lateness.Mean())
 		}
 	}
 	return series, nil
@@ -150,10 +148,11 @@ func (c Config) maxRuns() int {
 	return c.Runs
 }
 
-// converged applies the §5 stop rule across every variant at position j.
-func converged(cfg Config, series []Series, j int) bool {
-	for i := range series {
-		p := &series[i].Points[j]
+// converged applies the §5 stop rule across every variant of one
+// position.
+func converged(cfg Config, row []Point) bool {
+	for i := range row {
+		p := &row[i]
 		if !p.Vertices.WithinRelativeError(cfg.VerticesConf, cfg.VerticesErr, 1.0) {
 			return false
 		}

@@ -1,111 +1,56 @@
 #!/usr/bin/env sh
 # Extended verification gate. Tier-1 CI only requires
 #   go build ./... && go test ./...
-# This script layers the repo-specific static analysis (cmd/bbvet), the
-# stock vet pass, the race detector, and the bbdebug invariant-checking
-# build of the scheduling engine on top. Run it before merging anything
-# that touches the search or scheduling layers.
+# Each form layers more on top; run the one for the layers a change touches.
 #
-# Usage: scripts/check.sh [package patterns...]   (default: ./...)
-#        scripts/check.sh dist
-#        scripts/check.sh grid
-#        scripts/check.sh hetero
-#        scripts/check.sh vet
-#
-# The dist form gates the distributed fabric alone: race-enabled
-# internal/dist tests (frontier equivalence, steal/evict robustness,
-# journal resume, drain, speculative re-dispatch) plus the race-enabled
-# loopback multi-process e2e (re-exec'd coordinator, real bbworker
-# processes, a SIGKILL'd worker recovered through lease eviction, and a
-# SIGKILL'd coordinator resumed from its checkpoint journal with
-# byte-identical results).
-#
-# The grid form gates the multi-tenant serving tier alone: race-enabled
-# internal/grid tests (ring balance and minimal movement, WFQ fairness,
-# single-flight fill claims), the race-enabled in-process multi-replica
-# e2e in internal/server (a replica killed mid-load with survivors
-# re-owning its key range, batch isomorphism dedup, tenant isolation),
-# and the race-enabled CLI e2e (two peered bbserved processes with
-# tenant classes and zero-leak shutdown; bbload mixed-workload mode).
-#
-# The hetero form gates the heterogeneous/partitioned scenario matrix
-# alone: race-enabled internal/hetero and internal/edf tests (the
-# partitioned search and its dispatch policy), the race-enabled
-# scenario-matrix server tests (structured platform 400s, partitioned
-# mode, cache continuity), and the bbfuzz cross-validation campaign —
-# global and partitioned solves on random speed-factor/affinity
-# platforms against their brute-force oracles, plus the bit-identical
-# legacy leg for explicit unit/universal specs.
-#
-# The vet form is the static-analysis contract: gofmt (any file that
-# `gofmt -l .` lists fails the gate), the full bbvet suite
-# (per-package analyzers plus the whole-program lockorder, goleak,
-# hotalloc, and wireschema passes) over the whole module under the
-# strict baseline — any finding not recorded in
-# internal/check/testdata/bbvet.baseline fails, and so does any stale
-# baseline entry, hotalloc.allow entry, or wireschema.snap drift — a
-# `go vet` of the nested benchmark module cmd/bbperf, which the root
-# build and vet do not compile, so an internal API change that breaks the
-# benchmark fails here rather than when the benchmark runs — a quick
-# smoke run of the benchmark itself (`bash cmd/bbperf/bench.sh --quick`,
-# which builds it as the benchmark does and checks every answer of all
-# five workloads against the committed catalog, so a wrong answer or a
-# broken benchmark build fails here first) — three
-# 10-second native fuzz runs over their committed seed corpora
-# (testdata/fuzz in each package): taskgraph.Canonical, the one-pass graph
-# decoder against encoding/json (FuzzGraphJSON), and the one-pass request
-# decoder against encoding/json plus the validation and keying pipeline
-# (FuzzSolveRequest) — plus the race and bbdebug builds of the
-# concurrency-bearing layers.
+#   check.sh [pkgs]  build, vet, bbvet, race tests of pkgs (default ./...); race tests of the serving layer always (races enter it via "unrelated" changes); search layers under -race -tags bbdebug (corruption panics where it happens)
+#   check.sh dist    race tests of the distributed fabric and its multi-process e2e: SIGKILL'd workers recovered by lease eviction, a SIGKILL'd coordinator resumed byte-identically from its journal
+#   check.sh grid    race tests of the grid tier (ring balance, WFQ fairness, fill claims), the kill-mid-load multi-replica e2e, peered bbserved processes, bbload, and the serving figures
+#   check.sh hetero  race tests of partitioned search, its EDF dispatch, release plans and the scenario-matrix server tests; bbfuzz against brute-force oracles on random speed/affinity platforms
+#   check.sh vet     the CI contract: gofmt, strict-baseline bbvet (stale entries, wireschema drift), bbperf vet and bench.sh --quick (API breaks, wrong answers), 10 s fuzz runs (canonicalizer, decoders), race/bbdebug tests
 
 set -eu
 
 cd "$(dirname "$0")/.."
 
-if [ "${1:-}" = "dist" ]; then
-    echo "==> go vet ./internal/dist ./cmd/bbworker"
-    go vet ./internal/dist ./cmd/bbworker
-    echo "==> bbvet ./internal/dist ./cmd/bbworker"
-    go run ./cmd/bbvet ./internal/dist ./cmd/bbworker
-    echo "==> go test -race ./internal/dist"
-    go test -race ./internal/dist
-    echo "==> go test -race ./cmd/bbworker (loopback multi-process e2e, incl. crash-resume)"
-    go test -race ./cmd/bbworker
-    echo "==> dist checks passed"
-    exit 0
-fi
+# run prints a command, then runs it.
+run() {
+    echo "==> $*"
+    "$@"
+}
 
-if [ "${1:-}" = "grid" ]; then
-    echo "==> go vet ./internal/grid ./internal/peer ./cmd/bbserved ./cmd/bbload"
-    go vet ./internal/grid ./internal/peer ./cmd/bbserved ./cmd/bbload
-    echo "==> bbvet ./internal/grid ./internal/peer ./cmd/bbserved ./cmd/bbload"
-    go run ./cmd/bbvet ./internal/grid ./internal/peer ./cmd/bbserved ./cmd/bbload
-    echo "==> go test -race ./internal/grid ./internal/peer"
-    go test -race ./internal/grid ./internal/peer
-    echo "==> go test -race ./internal/server (incl. multi-replica kill-mid-load e2e)"
-    go test -race ./internal/server
-    echo "==> go test -race ./cmd/bbserved ./cmd/bbload (peered-process e2e, mixed-workload harness)"
-    go test -race ./cmd/bbserved ./cmd/bbload
-    echo "==> grid checks passed"
-    exit 0
-fi
+# gate VET TEST: go vet and bbvet over the packages in VET, race tests of
+# the packages in TEST.
+gate() {
+    run go vet $1
+    run go run ./cmd/bbvet $1
+    run go test -race $2
+}
 
-if [ "${1:-}" = "hetero" ]; then
-    echo "==> go vet ./internal/hetero ./internal/edf ./internal/fuzzcheck ./cmd/bbfuzz"
-    go vet ./internal/hetero ./internal/edf ./internal/fuzzcheck ./cmd/bbfuzz
-    echo "==> bbvet ./internal/hetero ./internal/edf ./internal/fuzzcheck ./cmd/bbfuzz"
-    go run ./cmd/bbvet ./internal/hetero ./internal/edf ./internal/fuzzcheck ./cmd/bbfuzz
-    echo "==> go test -race ./internal/hetero ./internal/edf ./internal/periodic (partitioned mode, dispatch policy, release plans)"
-    go test -race ./internal/hetero ./internal/edf ./internal/periodic
-    echo "==> go test -race ./internal/server -run 'Hetero|Partitioned|Malformed|ModeSplits|PlatformCanonicalization'"
-    go test -race ./internal/server -run 'Hetero|Partitioned|Malformed|ModeSplits|PlatformCanonicalization'
-    echo "==> bbfuzz -hetero cross-validation campaign (200 instances)"
-    go run ./cmd/bbfuzz -hetero -n 200 -seed 1997
-    echo "==> hetero checks passed"
-    exit 0
-fi
+# bbdebug PKGS: the -race -tags bbdebug tests of PKGS, internal/core among
+# them. TestKernelDifferential gets a go test of its own: with the rest of
+# internal/core in one binary it took 577 s of go test's 600 s default
+# timeout on a 2-vCPU host.
+bbdebug() {
+    run go test -race -tags bbdebug -run '^TestKernelDifferential$' ./internal/core
+    run go test -race -tags bbdebug -skip '^TestKernelDifferential$' "$@"
+}
 
-if [ "${1:-}" = "vet" ]; then
+case "${1:-}" in
+dist)
+    gate "./internal/dist ./cmd/bbworker" "./internal/dist ./cmd/bbworker"
+    ;;
+grid)
+    gate "./internal/grid ./internal/peer ./cmd/bbserved ./cmd/bbload" \
+        "./internal/grid ./internal/peer ./internal/server ./cmd/bbserved ./cmd/bbload ./cmd/bbexp"
+    ;;
+hetero)
+    gate "./internal/hetero ./internal/edf ./internal/fuzzcheck ./cmd/bbfuzz" \
+        "./internal/hetero ./internal/edf ./internal/periodic"
+    run go test -race ./internal/server -run 'Hetero|Partitioned|Malformed|ModeSplits|PlatformCanonicalization'
+    run go run ./cmd/bbfuzz -hetero -n 200 -seed 1997
+    ;;
+vet)
     echo "==> gofmt -l ."
     unformatted="$(gofmt -l .)"
     if [ -n "$unformatted" ]; then
@@ -114,8 +59,7 @@ if [ "${1:-}" = "vet" ]; then
         exit 1
     fi
 
-    echo "==> bbvet -strict-baseline ./... (all analyzers, committed baseline)"
-    go run ./cmd/bbvet -strict-baseline ./...
+    run go run ./cmd/bbvet -strict-baseline ./...
 
     echo "==> wireschema snapshot is current"
     snap=internal/check/testdata/wireschema.snap
@@ -130,63 +74,22 @@ if [ "${1:-}" = "vet" ]; then
         exit 1
     }
 
-    echo "==> go vet ./... in the nested benchmark module cmd/bbperf"
-    GOWORK=off go -C cmd/bbperf vet ./...
+    run env GOWORK=off go -C cmd/bbperf vet ./...
+    run bash cmd/bbperf/bench.sh --quick
+    run go test -run '^$' -fuzz '^FuzzCanonical$' -fuzztime 10s ./internal/taskgraph
+    run go test -run '^$' -fuzz '^FuzzGraphJSON$' -fuzztime 10s ./internal/taskgraph
+    run go test -run '^$' -fuzz '^FuzzSolveRequest$' -fuzztime 10s ./internal/server
+    run go test -race ./internal/dist ./internal/server ./internal/check ./cmd/bbexp
+    bbdebug ./internal/sched ./internal/core
+    ;;
+*)
+    pat="${*:-./...}"
+    run go build $pat
+    gate "$pat" "$pat"
+    run go vet ./internal/server ./cmd/bbserved ./cmd/bbload ./cmd/bbexp
+    run go test -race ./internal/server ./cmd/bbserved ./cmd/bbload ./cmd/bbexp
+    bbdebug ./internal/sched ./internal/core ./internal/bruteforce ./internal/faults ./internal/rescue
+    ;;
+esac
 
-    echo "==> bench.sh --quick (every answer of the five benchmark workloads against the catalog)"
-    bash cmd/bbperf/bench.sh --quick
-
-    echo "==> go test -fuzz FuzzCanonical -fuzztime 10s ./internal/taskgraph"
-    go test -run '^$' -fuzz '^FuzzCanonical$' -fuzztime 10s ./internal/taskgraph
-
-    echo "==> go test -fuzz FuzzGraphJSON -fuzztime 10s ./internal/taskgraph"
-    go test -run '^$' -fuzz '^FuzzGraphJSON$' -fuzztime 10s ./internal/taskgraph
-
-    echo "==> go test -fuzz FuzzSolveRequest -fuzztime 10s ./internal/server"
-    go test -run '^$' -fuzz '^FuzzSolveRequest$' -fuzztime 10s ./internal/server
-
-    echo "==> go test -race ./internal/dist ./internal/server ./internal/check"
-    go test -race ./internal/dist ./internal/server ./internal/check
-
-    echo "==> go test -race -tags bbdebug ./internal/sched ./internal/core"
-    go test -race -tags bbdebug ./internal/sched ./internal/core
-
-    echo "==> vet gate passed"
-    exit 0
-fi
-
-pat="${*:-./...}"
-
-echo "==> go build $pat"
-go build $pat
-
-echo "==> go vet $pat"
-go vet $pat
-
-echo "==> bbvet $pat"
-go run ./cmd/bbvet $pat
-
-echo "==> go test -race $pat"
-go test -race $pat
-
-# The serving layer is always exercised under the race detector, even
-# when a narrower package pattern was passed: its cache singleflight,
-# worker-pool admission control, and drain paths are exactly the kind of
-# concurrent code where a race slips in through an "unrelated" change.
-echo "==> go vet ./internal/server ./cmd/bbserved ./cmd/bbload"
-go vet ./internal/server ./cmd/bbserved ./cmd/bbload
-
-echo "==> go test -race ./internal/server ./cmd/bbserved ./cmd/bbload"
-go test -race ./internal/server ./cmd/bbserved ./cmd/bbload
-
-# The bbdebug tag compiles O(n) invariant re-verification into every
-# Place/Undo of the scheduling operation (internal/sched/invariants.go).
-# Running the search-layer tests under it turns any state corruption —
-# including one smeared in by a data race — into an attributed panic at
-# the operation that exposed it. The fault-injection and recovery layers
-# ride along: rescue drives budgeted (wall-clock-truncated) parallel
-# searches, exactly the regime where races and corruption would surface.
-echo "==> go test -race -tags bbdebug ./internal/sched ./internal/core ./internal/bruteforce ./internal/faults ./internal/rescue"
-go test -race -tags bbdebug ./internal/sched ./internal/core ./internal/bruteforce ./internal/faults ./internal/rescue
-
-echo "==> all checks passed"
+echo "==> checks passed"
