@@ -91,7 +91,7 @@ func main() {
 			Dedup:       *dedup,
 			DedupBudget: *dedupMiB << 20,
 		}
-		if err := parseRules(&params, *selFlag, *brFlag, *lbFlag); err != nil {
+		if err := params.ParseRules(*selFlag, *brFlag, *lbFlag); err != nil {
 			fatal(err)
 		}
 		if *traceDot != "" {
@@ -174,40 +174,6 @@ func main() {
 			fatal(err)
 		}
 	}
-}
-
-func parseRules(p *core.Params, sel, br, lb string) error {
-	switch sel {
-	case "lifo":
-		p.Selection = core.SelectLIFO
-	case "llb":
-		p.Selection = core.SelectLLB
-	case "fifo":
-		p.Selection = core.SelectFIFO
-	default:
-		return fmt.Errorf("unknown selection rule %q", sel)
-	}
-	switch br {
-	case "bfn":
-		p.Branching = core.BranchBFn
-	case "df":
-		p.Branching = core.BranchDF
-	case "bf1":
-		p.Branching = core.BranchBF1
-	default:
-		return fmt.Errorf("unknown branching rule %q", br)
-	}
-	switch lb {
-	case "lb1":
-		p.Bound = core.BoundLB1
-	case "lb0":
-		p.Bound = core.BoundLB0
-	case "none":
-		p.Bound = core.BoundNone
-	default:
-		return fmt.Errorf("unknown bound %q", lb)
-	}
-	return nil
 }
 
 func fatal(err error) {

@@ -35,6 +35,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/sched"
@@ -486,4 +487,60 @@ func (p Params) Validate() error {
 func (p Params) String() string {
 	return fmt.Sprintf("⟨B=%s S=%s E=U/DBAS L=%s U=%s BR=%g%%⟩",
 		p.Branching, p.Selection, p.Bound, p.UpperBound, p.BR*100)
+}
+
+// The names clients give the rules S, B and L — bbserved's solve requests,
+// the fleet wire and bbsched's flags — indexed by rule value, so each
+// list starts with the paper's default.
+var (
+	selectionNames = []string{SelectLIFO: "lifo", SelectLLB: "llb", SelectFIFO: "fifo"}
+	branchingNames = []string{BranchBFn: "bfn", BranchDF: "df", BranchBF1: "bf1"}
+	boundNames     = []string{BoundLB1: "lb1", BoundLB0: "lb0", BoundNone: "none"}
+)
+
+// ParseRules sets p's selection, branching and bound rules from their
+// names: select ∈ {lifo, llb, fifo}, branch ∈ {bfn, df, bf1}, bound ∈
+// {lb1, lb0, none}. Names are case-sensitive; "" picks the paper's default.
+func (p *Params) ParseRules(sel, branch, bound string) error {
+	var err error
+	if p.Selection, err = parseRule[SelectionRule](selectionNames, "selection rule", sel); err != nil {
+		return err
+	}
+	if p.Branching, err = parseRule[BranchingRule](branchingNames, "branching rule", branch); err != nil {
+		return err
+	}
+	p.Bound, err = parseRule[BoundFunc](boundNames, "bound", bound)
+	return err
+}
+
+// RuleNames is the inverse of ParseRules: the names of p's selection,
+// branching and bound rules. A rule without a name is an error.
+func (p Params) RuleNames() (sel, branch, bound string, err error) {
+	if sel, err = ruleName(selectionNames, "selection rule", p.Selection); err != nil {
+		return "", "", "", err
+	}
+	if branch, err = ruleName(branchingNames, "branching rule", p.Branching); err != nil {
+		return "", "", "", err
+	}
+	if bound, err = ruleName(boundNames, "bound", p.Bound); err != nil {
+		return "", "", "", err
+	}
+	return sel, branch, bound, nil
+}
+
+func parseRule[R ~int](names []string, what, name string) (R, error) {
+	if name == "" {
+		return 0, nil
+	}
+	if i := slices.Index(names, name); i >= 0 {
+		return R(i), nil
+	}
+	return 0, fmt.Errorf("unknown %s %q", what, name)
+}
+
+func ruleName[R ~int](names []string, what string, r R) (string, error) {
+	if r < 0 || int(r) >= len(names) {
+		return "", fmt.Errorf("no name for %s %v", what, r)
+	}
+	return names[r], nil
 }

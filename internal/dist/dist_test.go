@@ -294,6 +294,20 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpecRejectsUnnamedRule: a rule value outside the named range has no
+// wire name, so it cannot be shipped to the workers.
+func TestSpecRejectsUnnamedRule(t *testing.T) {
+	for _, p := range []core.Params{
+		{Selection: core.SelectionRule(3)},
+		{Branching: core.BranchingRule(3)},
+		{Bound: core.BoundFunc(-1)},
+	} {
+		if spec, err := SpecFromParams(p); err == nil {
+			t.Errorf("encoded %+v as %+v", p, spec)
+		}
+	}
+}
+
 // TestDistributedDedupMatchesSequential: the fleet with Dedup on must land
 // on the plain sequential cost at every worker count, report duplicate
 // prunes and table gauges within budget, and — with more than one worker —

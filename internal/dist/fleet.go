@@ -45,11 +45,6 @@ type Config struct {
 	// Small batches keep the tail stealable.
 	MaxLease int
 
-	// SliceBudget is the per-slice wall-clock budget imposed on workers
-	// (0 = none). A slice that times out costs the run its optimality
-	// proof, exactly like a local TimeLimit expiry.
-	SliceBudget time.Duration
-
 	// LeaseTTL is how long a worker may go silent before it is evicted and
 	// its slices are re-dispatched (default 3s).
 	LeaseTTL time.Duration
@@ -233,7 +228,6 @@ type activeSolve struct {
 	plat     platform.Platform
 	p        core.Params
 	spec     ParamsSpec
-	budgetMS int64
 
 	slices     []core.FrontierSlice
 	status     []sliceStatus
@@ -261,7 +255,7 @@ type activeSolve struct {
 	// never correctness).
 	digest []WireDigestEntry
 
-	timedOut bool // some slice died to its budget
+	timedOut bool // some slice reported a "timeout" stop
 	lost     bool // some slice ended without exhausting for another reason
 
 	jr *journal.Appender // nil = not journaled
@@ -451,7 +445,6 @@ func (f *Fleet) Solve(ctx context.Context, g *taskgraph.Graph, plat platform.Pla
 	s := &activeSolve{
 		g: canon, graphRaw: raw, origG: g, inv: inv, seed: front.Seed,
 		plat: plat, p: p, spec: spec,
-		budgetMS:   int64(f.cfg.SliceBudget / time.Millisecond),
 		slices:     front.Slices,
 		status:     make([]sliceStatus, len(front.Slices)),
 		queue:      make([]int, len(front.Slices)),
@@ -914,11 +907,10 @@ func (f *Fleet) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 
 	resp := LeaseResponse{
-		SolveID:       s.id,
-		Procs:         s.plat.M,
-		Params:        s.spec,
-		SliceBudgetMS: s.budgetMS,
-		Incumbent:     int64(s.best),
+		SolveID:   s.id,
+		Procs:     s.plat.M,
+		Params:    s.spec,
+		Incumbent: int64(s.best),
 	}
 	if req.HaveSolve != s.id {
 		resp.Graph = s.graphRaw
@@ -979,43 +971,21 @@ func (f *Fleet) handleReport(w http.ResponseWriter, r *http.Request) {
 
 	resp := ReportResponse{}
 	digestPre := uint64(len(s.digest))
-	if s.status[req.SliceID] == sliceDone {
+	sc := &SliceCheckpoint{SolveID: s.id, ID: req.SliceID, Exhausted: req.Exhausted, Reason: req.Reason, Stats: req.Stats}
+	if !s.foldSlice(sc) {
 		// A faster worker or a re-dispatch already accounted for this
 		// slice: discard so Stats never double-count one subtree.
 		f.counters.Duplicates.Add(1)
 	} else {
 		resp.Accepted = true
-		s.status[req.SliceID] = sliceDone
-		s.pending--
-		dequeue(s, req.SliceID)
 		if d := s.dispatched[req.SliceID]; !d.IsZero() {
 			service := time.Since(d)
 			s.noteService(service)
 			ws.NoteService(service)
 		}
-		s.stats.Generated += req.Stats.Generated
-		s.stats.Expanded += req.Stats.Expanded
-		s.stats.Goals += req.Stats.Goals
-		s.stats.PrunedChildren += req.Stats.PrunedChildren
-		s.stats.PrunedActive += req.Stats.PrunedActive
-		if req.Stats.MaxActiveSet > s.stats.MaxActiveSet {
-			s.stats.MaxActiveSet = req.Stats.MaxActiveSet
-		}
-		s.stats.DedupPruned += req.Stats.DedupPruned
-		s.stats.TableHits += req.Stats.TableHits
-		s.stats.TableEvictions += req.Stats.TableEvictions
-		s.stats.TableStale += req.Stats.TableStale
-		if req.Stats.TableBytes > s.stats.TableBytesInUse {
-			s.stats.TableBytesInUse = req.Stats.TableBytes // high-water across workers
-		}
 		if !req.Exhausted {
 			f.logf("dist: slice %d accepted non-exhausted (%s) from worker %d: optimality proof lost",
 				req.SliceID, req.Reason, req.WorkerID)
-			if req.Reason == "timeout" {
-				s.timedOut = true
-			} else {
-				s.lost = true
-			}
 		}
 		if validated {
 			f.adoptValidated(s, taskgraph.Time(req.Cost), req.Placements)
@@ -1032,9 +1002,7 @@ func (f *Fleet) handleReport(w http.ResponseWriter, r *http.Request) {
 		}
 		// Journal AFTER any adoption: a slice may become durably done only
 		// once every incumbent it carried is durable (see journal.go).
-		f.appendCheckpoint(s, CheckpointRecord{Kind: checkpointKindSlice, Slice: &SliceCheckpoint{
-			SolveID: s.id, ID: req.SliceID, Exhausted: req.Exhausted, Reason: req.Reason, Stats: req.Stats,
-		}})
+		f.appendCheckpoint(s, CheckpointRecord{Kind: checkpointKindSlice, Slice: sc})
 		if s.pending == 0 && !s.finished {
 			s.finished = true
 			close(s.done)
@@ -1052,6 +1020,41 @@ func (f *Fleet) handleReport(w http.ResponseWriter, r *http.Request) {
 	resp.Digest, resp.DigestVersion = digestTail(s, seen)
 	f.mu.Unlock()
 	writeJSON(w, resp)
+}
+
+// foldSlice accounts one slice report: the slice is done, its counters
+// join the solve's, and a slice that ended without exhausting its subtree
+// costs the run its optimality proof — a "timeout" reason as a time limit,
+// any other as a loss. A slice already done is left alone (first report
+// wins) and foldSlice returns false. Live reports and journal replay both
+// fold here. Callers hold f.mu, or own s exclusively as replay does.
+func (s *activeSolve) foldSlice(sc *SliceCheckpoint) bool {
+	if s.status[sc.ID] == sliceDone {
+		return false
+	}
+	s.status[sc.ID] = sliceDone
+	s.pending--
+	dequeue(s, sc.ID)
+	st := &s.stats
+	st.Generated += sc.Stats.Generated
+	st.Expanded += sc.Stats.Expanded
+	st.Goals += sc.Stats.Goals
+	st.PrunedChildren += sc.Stats.PrunedChildren
+	st.PrunedActive += sc.Stats.PrunedActive
+	st.MaxActiveSet = max(st.MaxActiveSet, sc.Stats.MaxActiveSet)
+	st.DedupPruned += sc.Stats.DedupPruned
+	st.TableHits += sc.Stats.TableHits
+	st.TableEvictions += sc.Stats.TableEvictions
+	st.TableStale += sc.Stats.TableStale
+	st.TableBytesInUse = max(st.TableBytesInUse, sc.Stats.TableBytes) // high-water across workers
+	switch {
+	case sc.Exhausted:
+	case sc.Reason == "timeout":
+		s.timedOut = true
+	default:
+		s.lost = true
+	}
+	return true
 }
 
 // dropOwned removes a slice from a worker's owned list. Callers hold f.mu.

@@ -81,7 +81,6 @@ type SolveCheckpoint struct {
 	Inv       []int             `json:"inv"`
 	Procs     int               `json:"procs"`
 	Params    ParamsSpec        `json:"params"`
-	BudgetMS  int64             `json:"budget_ms,omitempty"`
 	Best      int64             `json:"best"`
 	BestSeq   []sched.Placement `json:"best_seq,omitempty"`
 	Seed      []sched.Placement `json:"seed,omitempty"`
@@ -152,7 +151,6 @@ func solveCheckpoint(s *activeSolve, origRaw []byte) CheckpointRecord {
 		Orig:      origRaw,
 		Procs:     s.plat.M,
 		Params:    s.spec,
-		BudgetMS:  s.budgetMS,
 		Best:      int64(s.best),
 		BestSeq:   s.bestSeq,
 		Expansion: wireStats(s.expStats),
@@ -231,7 +229,7 @@ func replayCheckpoint(records [][]byte) (*activeSolve, *FinalCheckpoint, error) 
 
 	s := &activeSolve{
 		id: ck.ID, graphRaw: ck.Graph, g: canon, origG: orig,
-		plat: plat, p: p, spec: ck.Params, budgetMS: ck.BudgetMS,
+		plat: plat, p: p, spec: ck.Params,
 		best:     taskgraph.Time(ck.Best),
 		bestSeq:  ck.BestSeq,
 		expStats: statsFromWire(ck.Expansion),
@@ -300,27 +298,7 @@ func replayCheckpoint(records [][]byte) (*activeSolve, *FinalCheckpoint, error) 
 			if sc == nil || sc.SolveID != s.id || sc.ID < 0 || sc.ID >= len(s.slices) {
 				return nil, nil, fmt.Errorf("dist: journal record %d: malformed slice", i+1)
 			}
-			if s.status[sc.ID] == sliceDone {
-				continue // idempotent: a re-dispatch may have journaled it already
-			}
-			s.status[sc.ID] = sliceDone
-			s.pending--
-			st := statsFromWire(sc.Stats)
-			s.stats.Generated += st.Generated
-			s.stats.Expanded += st.Expanded
-			s.stats.Goals += st.Goals
-			s.stats.PrunedChildren += st.PrunedChildren
-			s.stats.PrunedActive += st.PrunedActive
-			if st.MaxActiveSet > s.stats.MaxActiveSet {
-				s.stats.MaxActiveSet = st.MaxActiveSet
-			}
-			if !sc.Exhausted {
-				if sc.Reason == "timeout" {
-					s.timedOut = true
-				} else {
-					s.lost = true
-				}
-			}
+			s.foldSlice(sc) // idempotent: a re-dispatch may have journaled it already
 		case checkpointKindFinal:
 			if rec.Final == nil || rec.Final.SolveID != s.id {
 				return nil, nil, fmt.Errorf("dist: journal record %d: malformed final", i+1)

@@ -24,10 +24,10 @@ import (
 	"repro/internal/transpose"
 )
 
-// ParamsSpec names the search rules on the wire, with the same vocabulary
-// as cmd/bbsched and the bbserved solve endpoint: select ∈ {lifo, llb,
-// fifo}, branch ∈ {bfn, df, bf1}, bound ∈ {lb1, lb0, none}; empty strings
-// pick the paper's recommended defaults.
+// ParamsSpec names the search rules on the wire by core.Params.ParseRules's
+// names, shared with cmd/bbsched and the bbserved solve endpoint: select ∈
+// {lifo, llb, fifo}, branch ∈ {bfn, df, bf1}, bound ∈ {lb1, lb0, none};
+// empty strings pick the paper's recommended defaults.
 type ParamsSpec struct {
 	Select string  `json:"select,omitempty"`
 	Branch string  `json:"branch,omitempty"`
@@ -44,35 +44,8 @@ type ParamsSpec struct {
 // Params decodes the wire names into solver parameters.
 func (s ParamsSpec) Params() (core.Params, error) {
 	var p core.Params
-	switch s.Select {
-	case "", "lifo":
-		p.Selection = core.SelectLIFO
-	case "llb":
-		p.Selection = core.SelectLLB
-	case "fifo":
-		p.Selection = core.SelectFIFO
-	default:
-		return p, fmt.Errorf("dist: unknown selection rule %q", s.Select)
-	}
-	switch s.Branch {
-	case "", "bfn":
-		p.Branching = core.BranchBFn
-	case "df":
-		p.Branching = core.BranchDF
-	case "bf1":
-		p.Branching = core.BranchBF1
-	default:
-		return p, fmt.Errorf("dist: unknown branching rule %q", s.Branch)
-	}
-	switch s.Bound {
-	case "", "lb1":
-		p.Bound = core.BoundLB1
-	case "lb0":
-		p.Bound = core.BoundLB0
-	case "none":
-		p.Bound = core.BoundNone
-	default:
-		return p, fmt.Errorf("dist: unknown bound %q", s.Bound)
+	if err := p.ParseRules(s.Select, s.Branch, s.Bound); err != nil {
+		return p, fmt.Errorf("dist: %w", err)
 	}
 	if s.BR < 0 || s.BR >= 1 {
 		return p, fmt.Errorf("dist: BR %v outside [0,1)", s.BR)
@@ -94,35 +67,9 @@ func (s ParamsSpec) Params() (core.Params, error) {
 // coordinator validates before splitting).
 func SpecFromParams(p core.Params) (ParamsSpec, error) {
 	var s ParamsSpec
-	switch p.Selection {
-	case core.SelectLIFO:
-		s.Select = "lifo"
-	case core.SelectLLB:
-		s.Select = "llb"
-	case core.SelectFIFO:
-		s.Select = "fifo"
-	default:
-		return s, fmt.Errorf("dist: unencodable selection rule %v", p.Selection)
-	}
-	switch p.Branching {
-	case core.BranchBFn:
-		s.Branch = "bfn"
-	case core.BranchDF:
-		s.Branch = "df"
-	case core.BranchBF1:
-		s.Branch = "bf1"
-	default:
-		return s, fmt.Errorf("dist: unencodable branching rule %v", p.Branching)
-	}
-	switch p.Bound {
-	case core.BoundLB1:
-		s.Bound = "lb1"
-	case core.BoundLB0:
-		s.Bound = "lb0"
-	case core.BoundNone:
-		s.Bound = "none"
-	default:
-		return s, fmt.Errorf("dist: unencodable bound %v", p.Bound)
+	var err error
+	if s.Select, s.Branch, s.Bound, err = p.RuleNames(); err != nil {
+		return s, fmt.Errorf("dist: %w", err)
 	}
 	s.BR = p.BR
 	if p.DedupTable != nil {
@@ -248,16 +195,15 @@ type LeaseRequest struct {
 // differs from the request's HaveSolve. Drain means this worker gets no
 // more work: finish up, release, exit.
 type LeaseResponse struct {
-	None          bool        `json:"none,omitempty"`
-	Drain         bool        `json:"drain,omitempty"`
-	RetryMS       int64       `json:"retry_ms,omitempty"`
-	SolveID       uint64      `json:"solve_id,omitempty"`
-	Graph         []byte      `json:"graph,omitempty"`
-	Procs         int         `json:"procs,omitempty"`
-	Params        ParamsSpec  `json:"params,omitempty"`
-	SliceBudgetMS int64       `json:"slice_budget_ms,omitempty"`
-	Incumbent     int64       `json:"incumbent"`
-	Slices        []WireSlice `json:"slices,omitempty"`
+	None      bool        `json:"none,omitempty"`
+	Drain     bool        `json:"drain,omitempty"`
+	RetryMS   int64       `json:"retry_ms,omitempty"`
+	SolveID   uint64      `json:"solve_id,omitempty"`
+	Graph     []byte      `json:"graph,omitempty"`
+	Procs     int         `json:"procs,omitempty"`
+	Params    ParamsSpec  `json:"params,omitempty"`
+	Incumbent int64       `json:"incumbent"`
+	Slices    []WireSlice `json:"slices,omitempty"`
 }
 
 // ReportRequest returns the outcome of one slice solve. Cost/Placements

@@ -126,6 +126,32 @@ func TestJournalResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestTerminalResumeStats: a terminal Resume re-assembles the live run's
+// Stats, the dedup and table counters included, because live reports and
+// journal replay fold each slice through one method.
+func TestTerminalResumeStats(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	g, plat := pinnedInstance(t, 4001)
+	fleet := startFabric(t, journaledConfig(path), 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	want, err := fleet.Solve(ctx, g, plat, core.Params{Dedup: true, DedupBudget: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Stats.DedupPruned == 0 || want.Stats.TableBytesInUse == 0 {
+		t.Fatalf("live run exercised no table: %+v", want.Stats)
+	}
+	got, err := NewFleet(journaledConfig(path)).Resume(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Stats.Elapsed, got.Stats.Elapsed = 0, 0
+	if got.Stats != want.Stats {
+		t.Fatalf("terminal resume stats differ:\n got %+v\nwant %+v", got.Stats, want.Stats)
+	}
+}
+
 // TestResumeRejectsCorruptJournal: a journal whose incumbent record
 // cannot replay (tampered cost) must be rejected outright, never
 // trusted as a bound.

@@ -63,7 +63,6 @@ type Worker struct {
 	g       *taskgraph.Graph
 	plat    platform.Platform
 	params  core.Params
-	budget  time.Duration
 
 	// Dedup state, present only when the solve's params carry Dedup: one
 	// transposition table per solve shared across this worker's slices
@@ -276,7 +275,6 @@ func (w *Worker) adoptLease(lease *LeaseResponse) error {
 		return err
 	}
 	w.solveID, w.g, w.plat, w.params = lease.SolveID, g, plat, p
-	w.budget = time.Duration(lease.SliceBudgetMS) * time.Millisecond
 	w.tt, w.ttPrev = nil, transpose.Stats{}
 	w.digestSeen.Store(0)
 	if p.Dedup {
@@ -372,7 +370,6 @@ func (w *Worker) solveSlice(ctx context.Context, sl WireSlice) bool {
 	p.Prefix = sl.Prefix
 	p.UpperBound = core.UpperBoundFixed
 	p.FixedUpperBound = taskgraph.Time(w.best.Load())
-	p.Resources.TimeLimit = w.budget
 	if w.tt != nil {
 		p.DedupTable = w.tt // per-solve table, warm across this worker's slices
 	}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -41,14 +42,14 @@ func (f Figure) Table() string {
 	vlab := label(f.VertexLabel, "generated vertices")
 	section(vlab+" (mean ±90% CI)", func(p Point) string {
 		m, h := p.Vertices.MeanCI(0.90)
-		return fmt.Sprintf("%.0f ±%.0f", m, h)
+		return meanCell(m, h, 0)
 	})
 	section(vlab+" (median)", func(p Point) string {
 		return fmt.Sprintf("%.0f", p.Vertices.Median())
 	})
 	section(label(f.LatenessLabel, "max task lateness")+" (mean ±95% CI)", func(p Point) string {
 		m, h := p.Lateness.MeanCI(0.95)
-		return fmt.Sprintf("%.2f ±%.2f", m, h)
+		return meanCell(m, h, 2)
 	})
 
 	hasAS := false
@@ -81,6 +82,16 @@ func (f Figure) Table() string {
 		return cell
 	})
 	return b.String()
+}
+
+// meanCell renders a table cell's mean and confidence half-width with prec
+// decimals. A point of fewer than two observations has no half-width
+// (stats.Sample.CI is +Inf there) and prints its mean alone.
+func meanCell(m, h float64, prec int) string {
+	if math.IsInf(h, 1) {
+		return fmt.Sprintf("%.*f", prec, m)
+	}
+	return fmt.Sprintf("%.*f ±%.*f", prec, m, prec, h)
 }
 
 // Distribution renders per-variant log-decade histograms of the generated

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/hetero"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
 )
@@ -147,7 +148,7 @@ func FuzzSolveRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("canonicalize a validated graph: %v", err)
 		}
-		_, _, platKey := canonPlatform(cg, plat)
+		_, _, platKey := hetero.Canonicalize(plat, cg.inv)
 		_ = solveKey(cg, platKey, params, req, partitioned, budget)
 	})
 }
@@ -267,29 +268,38 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMalformedBodyCounters: a body that does not decode is one request and
-// one error on every endpoint, whether the endpoint decodes before or
-// after admission.
+// TestMalformedBodyCounters: a body that does not decode is a 400, one
+// request and one error on every endpoint. Every endpoint decodes before
+// it admits, so that holds on a draining server too.
 func TestMalformedBodyCounters(t *testing.T) {
-	for _, ep := range []string{"solve", "batch", "anytime", "list", "analyze", "recover"} {
-		t.Run(ep, func(t *testing.T) {
-			s := New(Config{Workers: 1})
-			defer s.Close()
-			ts := httptest.NewServer(s.Handler())
-			defer ts.Close()
-			resp, err := http.Post(ts.URL+"/v1/"+ep, "application/json", strings.NewReader(`{"procs":`))
-			if err != nil {
-				t.Fatal(err)
+	for _, draining := range []bool{false, true} {
+		for _, ep := range []string{"solve", "batch", "anytime", "list", "analyze", "recover"} {
+			name := ep
+			if draining {
+				name += " while draining"
 			}
-			_ = resp.Body.Close() //bbvet:ignore errcheck
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("status %d, want 400", resp.StatusCode)
-			}
-			got := s.Metrics().Endpoints[ep]
-			if got.Requests != 1 || got.Errors != 1 {
-				t.Fatalf("requests=%d errors=%d, want 1/1", got.Requests, got.Errors)
-			}
-		})
+			t.Run(name, func(t *testing.T) {
+				s := New(Config{Workers: 1})
+				defer s.Close()
+				if draining {
+					s.Drain()
+				}
+				ts := httptest.NewServer(s.Handler())
+				defer ts.Close()
+				resp, err := http.Post(ts.URL+"/v1/"+ep, "application/json", strings.NewReader(`{"procs":`))
+				if err != nil {
+					t.Fatal(err)
+				}
+				_ = resp.Body.Close() //bbvet:ignore errcheck
+				if resp.StatusCode != http.StatusBadRequest {
+					t.Fatalf("status %d, want 400", resp.StatusCode)
+				}
+				got := s.Metrics().Endpoints[ep]
+				if got.Requests != 1 || got.Errors != 1 {
+					t.Fatalf("requests=%d errors=%d, want 1/1", got.Requests, got.Errors)
+				}
+			})
+		}
 	}
 }
 

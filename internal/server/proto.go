@@ -68,9 +68,9 @@ func budgetFrom(ms int64, cfg Config) (time.Duration, error) {
 }
 
 // SolveRequest is the exact/approximate B&B endpoint input. The rule
-// names mirror cmd/bbsched: select ∈ {lifo, llb, fifo}, branch ∈ {bfn,
-// df, bf1}, bound ∈ {lb1, lb0, none}; empty strings pick the paper's
-// recommended defaults.
+// names are core.Params.ParseRules's, shared with cmd/bbsched and the
+// fleet wire: select ∈ {lifo, llb, fifo}, branch ∈ {bfn, df, bf1}, bound
+// ∈ {lb1, lb0, none}; empty strings pick the paper's recommended defaults.
 type SolveRequest struct {
 	GraphRequest
 	// Mode selects the execution model: "" or "global" is the paper's
@@ -124,35 +124,8 @@ func (r *SolveRequest) partitioned() (bool, error) {
 
 func (r *SolveRequest) params() (core.Params, error) {
 	var p core.Params
-	switch r.Select {
-	case "", "lifo":
-		p.Selection = core.SelectLIFO
-	case "llb":
-		p.Selection = core.SelectLLB
-	case "fifo":
-		p.Selection = core.SelectFIFO
-	default:
-		return p, fmt.Errorf("unknown selection rule %q", r.Select)
-	}
-	switch r.Branch {
-	case "", "bfn":
-		p.Branching = core.BranchBFn
-	case "df":
-		p.Branching = core.BranchDF
-	case "bf1":
-		p.Branching = core.BranchBF1
-	default:
-		return p, fmt.Errorf("unknown branching rule %q", r.Branch)
-	}
-	switch r.Bound {
-	case "", "lb1":
-		p.Bound = core.BoundLB1
-	case "lb0":
-		p.Bound = core.BoundLB0
-	case "none":
-		p.Bound = core.BoundNone
-	default:
-		return p, fmt.Errorf("unknown bound %q", r.Bound)
+	if err := p.ParseRules(r.Select, r.Branch, r.Bound); err != nil {
+		return p, err
 	}
 	if r.BR < 0 || r.BR >= 1 {
 		return p, fmt.Errorf("BR %v outside [0,1)", r.BR)

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/hetero"
 	"repro/internal/listsched"
 	"repro/internal/platform"
 	"repro/internal/sched"
@@ -204,7 +205,7 @@ func requestKey(t testing.TB, s *Server, req SolveRequest) (string, canonGraph) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, platKey := canonPlatform(cg, plat)
+	_, _, platKey := hetero.Canonicalize(plat, cg.inv)
 	return solveKey(cg, platKey, params, req, partitioned, budget), cg
 }
 

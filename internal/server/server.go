@@ -24,6 +24,7 @@
 //
 // Request bodies are decoded in one pass (decode.go, on internal/jsonread)
 // under encoding/json's rules, with no encoding/json on the request path.
+// Every /v1 endpoint decodes, counts and admits in that order (accept).
 //
 // With a grid.Node configured the server becomes one replica of a cache
 // grid: the canonical key space is consistent-hashed across replicas,
@@ -272,14 +273,47 @@ func (s *Server) Metrics() MetricsSnapshot {
 
 // ---- request plumbing -------------------------------------------------
 
-// decode reads the request body and decodes its first JSON value into
-// into, in one pass (see decode.go).
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, into request) error {
+// call is one /v1 request past its front gate: where it is answered, the
+// endpoint counters it moves, when it started and its admission class.
+type call struct {
+	w      http.ResponseWriter
+	m      *endpointMetrics
+	start  time.Time
+	tenant string
+}
+
+// accept is the front gate of every /v1 endpoint, in one order: decode
+// the body into req (one pass, see decode.go), count the request under
+// endpoint ep, then admit it. A body that does not decode is a 400 even
+// while the server drains. Admission accepts nothing new during drain
+// (503), and the X-Tenant header must name a configured admission class
+// (empty means the default tenant). Distributed solves count under
+// "dist", so /metrics can tell fleet traffic apart from in-process solves.
+func (s *Server) accept(w http.ResponseWriter, r *http.Request, req request, ep string) (call, bool) {
+	c := call{w: w, m: s.metrics[ep], start: time.Now()}
 	body, err := readBody(w, r)
-	if err != nil {
-		return err
+	if err == nil {
+		err = decodeRequest(body, req)
 	}
-	return decodeRequest(body, into)
+	if q, ok := req.(*SolveRequest); ok && err == nil && q.Distributed {
+		c.m = s.metrics["dist"]
+	}
+	c.m.requests.Add(1)
+	if err != nil {
+		s.badRequest(c, err)
+		return c, false
+	}
+	if s.draining.Load() {
+		s.finish(c, nil, cacheBypass, grid.ErrDraining)
+		return c, false
+	}
+	tenant, ok := s.adm.Resolve(r.Header.Get("X-Tenant"))
+	if !ok {
+		s.badRequest(c, fmt.Errorf("unknown tenant %q", r.Header.Get("X-Tenant")))
+		return c, false
+	}
+	c.tenant = tenant
+	return c, true
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -289,18 +323,18 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v) // client gone is not actionable
 }
 
-// badRequest reports a pre-admission validation failure. Structured spec
-// errors (malformed platform specifications) carry their classification
-// into the body so clients see WHICH field is wrong.
-func (s *Server) badRequest(w http.ResponseWriter, m *endpointMetrics, start time.Time, err error) {
-	m.errors.Add(1)
-	m.latency.observe(time.Since(start))
+// badRequest reports a validation failure. Structured spec errors
+// (malformed platform specifications) carry their classification into the
+// body so clients see WHICH field is wrong.
+func (s *Server) badRequest(c call, err error) {
+	c.m.errors.Add(1)
+	c.m.latency.observe(time.Since(c.start))
 	resp := ErrorResponse{Error: err.Error()}
 	var spec *hetero.SpecError
 	if errors.As(err, &spec) {
 		resp.Code, resp.Field = spec.Code, spec.Field
 	}
-	writeJSON(w, http.StatusBadRequest, resp)
+	writeJSON(c.w, http.StatusBadRequest, resp)
 }
 
 // cacheState records how a response body was obtained, for the X-Cache
@@ -326,11 +360,12 @@ func stateOf(hit bool) cacheState {
 }
 
 // finish writes the outcome of a cache round-trip, mapping admission
-// errors to their status codes. tenant names the request's admission
-// class: a 429's Retry-After is that tenant's live hint (queue depth
-// over observed service rate), not a static constant.
-func (s *Server) finish(w http.ResponseWriter, m *endpointMetrics, start time.Time, tenant string, body []byte, state cacheState, err error) {
-	m.latency.observe(time.Since(start))
+// errors to their status codes. A 429's Retry-After is the live hint of
+// the call's tenant (queue depth over observed service rate), not a
+// static constant.
+func (s *Server) finish(c call, body []byte, state cacheState, err error) {
+	w, m := c.w, c.m
+	m.latency.observe(time.Since(c.start))
 	switch {
 	case err == nil:
 		switch state {
@@ -350,7 +385,7 @@ func (s *Server) finish(w http.ResponseWriter, m *endpointMetrics, start time.Ti
 		_, _ = w.Write(body)
 	case errors.Is(err, grid.ErrOverload):
 		m.rejected.Add(1)
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.adm.RetryAfterSeconds(tenant)))
+		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.adm.RetryAfterSeconds(c.tenant)))
 		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{Error: err.Error()})
 	case errors.Is(err, grid.ErrDraining), errors.Is(err, context.Canceled), errors.Is(err, dist.ErrResumable):
 		// A resumable distributed solve was interrupted (coordinator
@@ -377,25 +412,19 @@ func retryAfterSeconds(cfg Config) int {
 	return sec
 }
 
-// admit front-gates a request: during drain nothing new is accepted,
-// and the X-Tenant header must name a configured admission class (empty
-// means the default tenant).
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, m *endpointMetrics, start time.Time) (tenant string, ok bool) {
-	m.requests.Add(1)
-	if s.draining.Load() {
-		m.errors.Add(1)
-		m.latency.observe(time.Since(start))
-		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: grid.ErrDraining.Error()})
-		return "", false
+// admitted returns fn run in a worker slot of tenant's queue, under a
+// context bounded by budget: the admission every solving endpoint shares.
+func (s *Server) admitted(tenant string, budget time.Duration, fn func(ctx context.Context) ([]byte, error)) func() ([]byte, error) {
+	return func() ([]byte, error) {
+		release, err := s.adm.Acquire(s.baseCtx, tenant)
+		if err != nil {
+			return nil, err
+		}
+		defer release()
+		ctx, cancel := context.WithTimeout(s.baseCtx, budget)
+		defer cancel()
+		return fn(ctx)
 	}
-	tenant, ok = s.adm.Resolve(r.Header.Get("X-Tenant"))
-	if !ok {
-		m.errors.Add(1)
-		m.latency.observe(time.Since(start))
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("unknown tenant %q", r.Header.Get("X-Tenant"))})
-		return "", false
-	}
-	return tenant, true
 }
 
 // do routes one cacheable unit of work: local cache, then the key's
@@ -494,18 +523,6 @@ func graphKey(g *taskgraph.Graph) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// canonPlatform reduces the request platform to canonical form over the
-// canonical task numbering: homogeneous-universal specs normalize to the
-// legacy nil-table platform and the legacy "m=<M>" key fragment (cache
-// continuity), heterogeneous ones get their affinity masks re-indexed via
-// cg.inv and their processors sorted into a canonical order. invProc maps
-// canonical processor indices back to the requester's numbering (nil when
-// unchanged); the solver runs on the canonical platform and remapBody
-// undoes both renumberings.
-func canonPlatform(cg canonGraph, plat platform.Platform) (platform.Platform, []platform.Proc, string) {
-	return hetero.Canonicalize(plat, cg.inv)
-}
-
 // ---- endpoints --------------------------------------------------------
 
 // solveKey is the canonical cache identity of one exact-solve class:
@@ -536,112 +553,98 @@ func solveKey(cg canonGraph, platKey string, params core.Params, req SolveReques
 		req.Workers, budget, distKey, dedupKey, dupFreeKey, modeKey)
 }
 
-// solveClass returns the singleflight body function for one solve
-// class: acquire a slot in the tenant's queue, run the kernel (or the
-// partitioned searcher) under its budget, marshal the canonical-numbering
-// response.
-func (s *Server) solveClass(tenant string, cg canonGraph, plat platform.Platform, params core.Params, req SolveRequest, partitioned bool, budget time.Duration) func() ([]byte, error) {
-	return func() ([]byte, error) {
-		release, err := s.adm.Acquire(s.baseCtx, tenant)
-		if err != nil {
-			return nil, err
+// solveJob is a /v1/solve request or a /v1/batch member reduced to its
+// canonical cache identity and the solve that fills it.
+type solveJob struct {
+	cg      canonGraph
+	invProc []platform.Proc // canonical → requester processor, nil when unchanged
+	key     string
+	run     func() ([]byte, error)
+}
+
+// buildSolve validates req and builds its job: the canonical graph and
+// platform, the cache key, and a run that takes a slot in the tenant's
+// queue and then runs the kernel, the fleet or the partitioned searcher
+// under the request budget, answering in the canonical numbering.
+func (s *Server) buildSolve(req *SolveRequest, tenant string) (solveJob, error) {
+	if req.Distributed {
+		if s.cfg.Fleet == nil {
+			return solveJob{}, fmt.Errorf("distributed solve requested but server has no fleet (start with -distributed)")
 		}
-		defer release()
-		ctx, cancel := context.WithTimeout(s.baseCtx, budget)
-		defer cancel()
+		if req.Workers > 1 {
+			return solveJob{}, fmt.Errorf("workers and distributed are mutually exclusive")
+		}
+	}
+	plat, err := req.platform()
+	if err != nil {
+		return solveJob{}, err
+	}
+	if req.Distributed && plat.Heterogeneous() {
+		// The fleet's lease protocol carries only a processor count.
+		return solveJob{}, fmt.Errorf("heterogeneous platforms cannot be distributed")
+	}
+	partitioned, err := req.partitioned()
+	if err != nil {
+		return solveJob{}, err
+	}
+	params, err := req.params()
+	if err != nil {
+		return solveJob{}, err
+	}
+	budget, err := budgetFrom(req.BudgetMS, s.cfg)
+	if err != nil {
+		return solveJob{}, err
+	}
+	params.Resources.TimeLimit = budget
+	cg, err := canonicalize(req.Graph)
+	if err != nil {
+		return solveJob{}, err
+	}
+	cp, invProc, platKey := hetero.Canonicalize(plat, cg.inv)
+	run := s.admitted(tenant, budget, func(ctx context.Context) ([]byte, error) {
 		if partitioned {
-			res, err := hetero.SolvePartitioned(ctx, cg.g, plat, hetero.Options{TimeLimit: budget})
+			res, err := hetero.SolvePartitioned(ctx, cg.g, cp, hetero.Options{TimeLimit: budget})
 			if err != nil {
 				return nil, err
 			}
 			return json.Marshal(partitionedResponse(res))
 		}
 		var res core.Result
+		var err error
 		if req.Distributed {
 			// The fleet re-canonicalizes internally; cg.g is already
 			// canonical so that pass is the identity permutation.
-			res, err = s.cfg.Fleet.Solve(ctx, cg.g, plat, params)
+			res, err = s.cfg.Fleet.Solve(ctx, cg.g, cp, params)
 		} else {
-			res, err = s.solveFn(ctx, cg.g, plat, params, req.Workers)
+			res, err = s.solveFn(ctx, cg.g, cp, params, req.Workers)
 		}
 		if err != nil {
 			return nil, err
 		}
 		s.transpose.note(res.Stats)
 		return json.Marshal(solveResponse(res))
-	}
+	})
+	key := solveKey(cg, platKey, params, *req, partitioned, budget)
+	return solveJob{cg: cg, invProc: invProc, key: key, run: run}, nil
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	var req SolveRequest
-	if err := s.decode(w, r, &req); err != nil {
-		// Decoded before admit, which picks the endpoint from the body:
-		// count the request here, as admit counts it everywhere else.
-		s.metrics["solve"].requests.Add(1)
-		s.badRequest(w, s.metrics["solve"], start, err)
-		return
-	}
-	// Distributed solves are accounted separately so /metrics can tell
-	// fleet traffic apart from in-process solves.
-	m := s.metrics["solve"]
-	if req.Distributed {
-		m = s.metrics["dist"]
-	}
-	tenant, ok := s.admit(w, r, m, start)
+	c, ok := s.accept(w, r, &req, "solve")
 	if !ok {
 		return
 	}
-	if req.Distributed {
-		if s.cfg.Fleet == nil {
-			s.badRequest(w, m, start, fmt.Errorf("distributed solve requested but server has no fleet (start with -distributed)"))
-			return
-		}
-		if req.Workers > 1 {
-			s.badRequest(w, m, start, fmt.Errorf("workers and distributed are mutually exclusive"))
-			return
-		}
-	}
-	plat, err := req.platform()
+	job, err := s.buildSolve(&req, c.tenant)
 	if err != nil {
-		s.badRequest(w, m, start, err)
+		s.badRequest(c, err)
 		return
 	}
-	if req.Distributed && plat.Heterogeneous() {
-		// The fleet's lease protocol carries only a processor count.
-		s.badRequest(w, m, start, fmt.Errorf("heterogeneous platforms cannot be distributed"))
-		return
-	}
-	partitioned, err := req.partitioned()
-	if err != nil {
-		s.badRequest(w, m, start, err)
-		return
-	}
-	params, err := req.params()
-	if err != nil {
-		s.badRequest(w, m, start, err)
-		return
-	}
-	budget, err := budgetFrom(req.BudgetMS, s.cfg)
-	if err != nil {
-		s.badRequest(w, m, start, err)
-		return
-	}
-	params.Resources.TimeLimit = budget
-
-	cg, err := canonicalize(req.Graph)
-	if err != nil {
-		s.finish(w, m, start, tenant, nil, cacheBypass, err)
-		return
-	}
-	cp, invProc, platKey := canonPlatform(cg, plat)
-	key := solveKey(cg, platKey, params, req, partitioned, budget)
-	body, state, err := s.do(r.Context(), key, s.solveClass(tenant, cg, cp, params, req, partitioned, budget))
+	body, state, err := s.do(r.Context(), job.key, job.run)
 	if err == nil {
-		body, err = remapBody(cg, invProc, body, true)
+		body, err = remapBody(job.cg, job.invProc, body, true)
 	}
-	s.finish(w, m, start, tenant, body, state, err)
-	s.cfg.Logf("solve m=%d n=%d dist=%v hit=%v %v", plat.M, req.Graph.NumTasks(), req.Distributed, state != cacheMiss, time.Since(start))
+	s.finish(c, body, state, err)
+	s.cfg.Logf("solve m=%d n=%d dist=%v hit=%v %v", req.Procs, req.Graph.NumTasks(), req.Distributed, state != cacheMiss, time.Since(c.start))
 }
 
 // maxBatchMembers bounds one /v1/batch request; beyond this the client
@@ -655,75 +658,37 @@ const maxBatchMembers = 256
 // receives the class answer remapped into its own task numbering. One
 // failed class fails the whole batch with that class's status.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	m := s.metrics["batch"]
 	var req BatchRequest
-	if err := s.decode(w, r, &req); err != nil {
-		m.requests.Add(1) // decoded before admit, which counts it elsewhere
-		s.badRequest(w, m, start, err)
-		return
-	}
-	tenant, ok := s.admit(w, r, m, start)
+	c, ok := s.accept(w, r, &req, "batch")
 	if !ok {
 		return
 	}
 	if len(req.Requests) == 0 {
-		s.badRequest(w, m, start, fmt.Errorf("empty batch"))
+		s.badRequest(c, fmt.Errorf("empty batch"))
 		return
 	}
 	if len(req.Requests) > maxBatchMembers {
-		s.badRequest(w, m, start, fmt.Errorf("batch has %d members, limit %d", len(req.Requests), maxBatchMembers))
+		s.badRequest(c, fmt.Errorf("batch has %d members, limit %d", len(req.Requests), maxBatchMembers))
 		return
 	}
 
-	type class struct {
-		rep int // first member index, for error attribution
-		fn  func() ([]byte, error)
-	}
-	memberCG := make([]canonGraph, len(req.Requests))
-	memberKey := make([]string, len(req.Requests))
-	memberInvProc := make([][]platform.Proc, len(req.Requests))
-	classes := map[string]*class{}
+	jobs := make([]solveJob, len(req.Requests))
+	rep := map[string]int{} // class key → its first member, for error attribution
 	var order []string
 	for i := range req.Requests {
-		mr := &req.Requests[i]
-		if mr.Distributed {
-			s.badRequest(w, m, start, fmt.Errorf("member %d: distributed solves are not batchable", i))
+		if req.Requests[i].Distributed {
+			s.badRequest(c, fmt.Errorf("member %d: distributed solves are not batchable", i))
 			return
 		}
-		plat, err := mr.platform()
+		job, err := s.buildSolve(&req.Requests[i], c.tenant)
 		if err != nil {
-			s.badRequest(w, m, start, fmt.Errorf("member %d: %w", i, err))
+			s.badRequest(c, fmt.Errorf("member %d: %w", i, err))
 			return
 		}
-		partitioned, err := mr.partitioned()
-		if err != nil {
-			s.badRequest(w, m, start, fmt.Errorf("member %d: %w", i, err))
-			return
-		}
-		params, err := mr.params()
-		if err != nil {
-			s.badRequest(w, m, start, fmt.Errorf("member %d: %w", i, err))
-			return
-		}
-		budget, err := budgetFrom(mr.BudgetMS, s.cfg)
-		if err != nil {
-			s.badRequest(w, m, start, fmt.Errorf("member %d: %w", i, err))
-			return
-		}
-		params.Resources.TimeLimit = budget
-		cg, err := canonicalize(mr.Graph)
-		if err != nil {
-			s.finish(w, m, start, tenant, nil, cacheBypass, fmt.Errorf("member %d: %w", i, err))
-			return
-		}
-		cp, invProc, platKey := canonPlatform(cg, plat)
-		memberCG[i] = cg
-		memberInvProc[i] = invProc
-		memberKey[i] = solveKey(cg, platKey, params, *mr, partitioned, budget)
-		if _, seen := classes[memberKey[i]]; !seen {
-			classes[memberKey[i]] = &class{rep: i, fn: s.solveClass(tenant, cg, cp, params, *mr, partitioned, budget)}
-			order = append(order, memberKey[i])
+		jobs[i] = job
+		if _, seen := rep[job.key]; !seen {
+			rep[job.key] = i
+			order = append(order, job.key)
 		}
 	}
 	// Deterministic class order: every replica receiving a permutation of
@@ -733,10 +698,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	hits := 0
 	bodies := make(map[string][]byte, len(order))
 	for _, key := range order {
-		c := classes[key]
-		body, state, err := s.do(r.Context(), key, c.fn)
+		body, state, err := s.do(r.Context(), key, jobs[rep[key]].run)
 		if err != nil {
-			s.finish(w, m, start, tenant, nil, cacheBypass, fmt.Errorf("member %d: %w", c.rep, err))
+			s.finish(c, nil, cacheBypass, fmt.Errorf("member %d: %w", rep[key], err))
 			return
 		}
 		if state == cacheHit || state == cachePeer {
@@ -746,72 +710,58 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	results := make([]SolveResponse, len(req.Requests))
-	for i := range req.Requests {
-		body, err := remapBody(memberCG[i], memberInvProc[i], bodies[memberKey[i]], true)
+	for i, job := range jobs {
+		body, err := remapBody(job.cg, job.invProc, bodies[job.key], true)
 		if err != nil {
-			s.finish(w, m, start, tenant, nil, cacheBypass, err)
+			s.finish(c, nil, cacheBypass, err)
 			return
 		}
 		if err := json.Unmarshal(body, &results[i]); err != nil {
-			s.finish(w, m, start, tenant, nil, cacheBypass, err)
+			s.finish(c, nil, cacheBypass, err)
 			return
 		}
 	}
-	m.cacheHits.Add(int64(hits))
-	m.cacheMisses.Add(int64(len(order) - hits))
-	m.latency.observe(time.Since(start))
+	c.m.cacheHits.Add(int64(hits))
+	c.m.cacheMisses.Add(int64(len(order) - hits))
+	c.m.latency.observe(time.Since(c.start))
 	writeJSON(w, http.StatusOK, BatchResponse{
 		Results:   results,
 		Classes:   len(order),
 		Deduped:   len(req.Requests) - len(order),
 		CacheHits: hits,
 	})
-	s.cfg.Logf("batch members=%d classes=%d hits=%d %v", len(req.Requests), len(order), hits, time.Since(start))
+	s.cfg.Logf("batch members=%d classes=%d hits=%d %v", len(req.Requests), len(order), hits, time.Since(c.start))
 }
 
 func (s *Server) handleAnytime(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	m := s.metrics["anytime"]
-	tenant, ok := s.admit(w, r, m, start)
-	if !ok {
-		return
-	}
 	var req AnytimeRequest
-	if err := s.decode(w, r, &req); err != nil {
-		s.badRequest(w, m, start, err)
+	c, ok := s.accept(w, r, &req, "anytime")
+	if !ok {
 		return
 	}
 	plat, err := req.platform()
 	if err != nil {
-		s.badRequest(w, m, start, err)
+		s.badRequest(c, err)
 		return
 	}
 	if req.Workers < 0 || req.Workers > 256 {
-		s.badRequest(w, m, start, fmt.Errorf("workers %d outside [0,256]", req.Workers))
+		s.badRequest(c, fmt.Errorf("workers %d outside [0,256]", req.Workers))
 		return
 	}
 	budget, err := budgetFrom(req.BudgetMS, s.cfg)
 	if err != nil {
-		s.badRequest(w, m, start, err)
+		s.badRequest(c, err)
 		return
 	}
-
 	cg, err := canonicalize(req.Graph)
 	if err != nil {
-		s.finish(w, m, start, tenant, nil, cacheBypass, err)
+		s.badRequest(c, err)
 		return
 	}
-	cp, invProc, platKey := canonPlatform(cg, plat)
+	cp, invProc, platKey := hetero.Canonicalize(plat, cg.inv)
 	key := fmt.Sprintf("anytime|%s|%s|i=%d|seed=%d|w=%d|t=%d",
 		cg.key, platKey, req.ImproveIters, req.Seed, req.Workers, budget)
-	body, state, err := s.do(r.Context(), key, func() ([]byte, error) {
-		release, err := s.adm.Acquire(s.baseCtx, tenant)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		ctx, cancel := context.WithTimeout(s.baseCtx, budget)
-		defer cancel()
+	body, state, err := s.do(r.Context(), key, s.admitted(c.tenant, budget, func(ctx context.Context) ([]byte, error) {
 		res, err := portfolio.SolveContext(ctx, cg.g, cp, portfolio.Options{
 			Budget:       budget,
 			ImproveIters: req.ImproveIters,
@@ -822,34 +772,28 @@ func (s *Server) handleAnytime(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		return json.Marshal(anytimeResponse(res))
-	})
+	}))
 	if err == nil {
 		body, err = remapBody(cg, invProc, body, false)
 	}
-	s.finish(w, m, start, tenant, body, state, err)
-	s.cfg.Logf("anytime m=%d n=%d hit=%v %v", plat.M, req.Graph.NumTasks(), state != cacheMiss, time.Since(start))
+	s.finish(c, body, state, err)
+	s.cfg.Logf("anytime m=%d n=%d hit=%v %v", plat.M, req.Graph.NumTasks(), state != cacheMiss, time.Since(c.start))
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	m := s.metrics["list"]
-	tenant, ok := s.admit(w, r, m, start)
-	if !ok {
-		return
-	}
 	var req ListRequest
-	if err := s.decode(w, r, &req); err != nil {
-		s.badRequest(w, m, start, err)
+	c, ok := s.accept(w, r, &req, "list")
+	if !ok {
 		return
 	}
 	plat, err := req.platform()
 	if err != nil {
-		s.badRequest(w, m, start, err)
+		s.badRequest(c, err)
 		return
 	}
 	pol, explicit, err := parseListPolicy(req.Policy)
 	if err != nil {
-		s.badRequest(w, m, start, err)
+		s.badRequest(c, err)
 		return
 	}
 
@@ -857,10 +801,10 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	// through the worker pool — a list schedule costs less than queueing.
 	cg, err := canonicalize(req.Graph)
 	if err != nil {
-		s.finish(w, m, start, tenant, nil, cacheBypass, err)
+		s.badRequest(c, err)
 		return
 	}
-	cp, invProc, platKey := canonPlatform(cg, plat)
+	cp, invProc, platKey := hetero.Canonicalize(plat, cg.inv)
 	key := fmt.Sprintf("list|%s|%s|p=%d|x=%v", cg.key, platKey, pol, explicit)
 	body, state, err := s.do(r.Context(), key, func() ([]byte, error) {
 		var res listsched.Result
@@ -883,25 +827,19 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		body, err = remapBody(cg, invProc, body, false)
 	}
-	s.finish(w, m, start, tenant, body, state, err)
-	s.cfg.Logf("list m=%d n=%d hit=%v %v", plat.M, req.Graph.NumTasks(), state != cacheMiss, time.Since(start))
+	s.finish(c, body, state, err)
+	s.cfg.Logf("list m=%d n=%d hit=%v %v", plat.M, req.Graph.NumTasks(), state != cacheMiss, time.Since(c.start))
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	m := s.metrics["analyze"]
-	tenant, ok := s.admit(w, r, m, start)
-	if !ok {
-		return
-	}
 	var req AnalyzeRequest
-	if err := s.decode(w, r, &req); err != nil {
-		s.badRequest(w, m, start, err)
+	c, ok := s.accept(w, r, &req, "analyze")
+	if !ok {
 		return
 	}
 	plat, err := req.platform()
 	if err != nil {
-		s.badRequest(w, m, start, err)
+		s.badRequest(c, err)
 		return
 	}
 
@@ -911,10 +849,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// whose critical paths differ.
 	cg, err := canonicalize(req.Graph)
 	if err != nil {
-		s.finish(w, m, start, tenant, nil, cacheBypass, err)
+		s.badRequest(c, err)
 		return
 	}
-	cp, _, platKey := canonPlatform(cg, plat)
+	cp, _, platKey := hetero.Canonicalize(plat, cg.inv)
 	key := fmt.Sprintf("analyze|%s|%s", cg.key, platKey)
 	body, state, err := s.do(r.Context(), key, func() ([]byte, error) {
 		rep, err := analysis.Analyze(cg.g, cp)
@@ -931,84 +869,68 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			Infeasible:   rep.Infeasible(),
 		})
 	})
-	s.finish(w, m, start, tenant, body, state, err)
-	s.cfg.Logf("analyze m=%d n=%d hit=%v %v", plat.M, req.Graph.NumTasks(), state != cacheMiss, time.Since(start))
+	s.finish(c, body, state, err)
+	s.cfg.Logf("analyze m=%d n=%d hit=%v %v", plat.M, req.Graph.NumTasks(), state != cacheMiss, time.Since(c.start))
 }
 
 func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	m := s.metrics["recover"]
-	tenant, ok := s.admit(w, r, m, start)
-	if !ok {
-		return
-	}
 	var req RecoverRequest
-	if err := s.decode(w, r, &req); err != nil {
-		s.badRequest(w, m, start, err)
+	c, ok := s.accept(w, r, &req, "recover")
+	if !ok {
 		return
 	}
 	plat, err := req.platform()
 	if err != nil {
-		s.badRequest(w, m, start, err)
+		s.badRequest(c, err)
 		return
 	}
 	if plat.Heterogeneous() {
 		// The rescue pipeline replans on the original platform; its
 		// residual construction is not heterogeneity-aware yet.
-		s.badRequest(w, m, start, fmt.Errorf("heterogeneous platforms are not supported on /v1/recover"))
+		s.badRequest(c, fmt.Errorf("heterogeneous platforms are not supported on /v1/recover"))
 		return
 	}
 	if req.Workers < 0 || req.Workers > 256 {
-		s.badRequest(w, m, start, fmt.Errorf("workers %d outside [0,256]", req.Workers))
+		s.badRequest(c, fmt.Errorf("workers %d outside [0,256]", req.Workers))
 		return
 	}
 	budget, err := budgetFrom(req.BudgetMS, s.cfg)
 	if err != nil {
-		s.badRequest(w, m, start, err)
+		s.badRequest(c, err)
 		return
 	}
 	static, err := scheduleFromPlacements(req.Graph, plat, req.Schedule)
 	if err != nil {
-		s.badRequest(w, m, start, err)
+		s.badRequest(c, err)
 		return
 	}
 	fs := make([]faults.Fault, 0, len(req.Faults))
 	for _, spec := range req.Faults {
 		f, err := spec.fault()
 		if err != nil {
-			s.badRequest(w, m, start, err)
+			s.badRequest(c, err)
 			return
 		}
 		fs = append(fs, f)
 	}
 	sc := &faults.Scenario{Faults: fs}
 	if err := sc.Validate(req.Graph.NumTasks(), plat.M); err != nil {
-		s.badRequest(w, m, start, err)
+		s.badRequest(c, err)
 		return
 	}
 
 	// Recovery is stateful (schedule + scenario vary per call), so it goes
 	// through admission control but not the cache — finish gets cacheBypass
 	// so the endpoint perturbs neither the hit nor the miss counter.
-	var body []byte
-	release, err := s.adm.Acquire(s.baseCtx, tenant)
-	if err == nil {
-		func() {
-			defer release()
-			ctx, cancel := context.WithTimeout(s.baseCtx, budget)
-			defer cancel()
-			var out *rescue.Outcome
-			out, err = rescue.Recover(ctx, static, sc, nil, rescue.Options{
-				Budget:  budget,
-				Workers: req.Workers,
-			})
-			if err == nil {
-				body, err = json.Marshal(recoverResponse(out))
-			}
-		}()
-	}
-	s.finish(w, m, start, tenant, body, cacheBypass, err)
-	s.cfg.Logf("recover m=%d n=%d faults=%d %v", plat.M, req.Graph.NumTasks(), len(fs), time.Since(start))
+	body, err := s.admitted(c.tenant, budget, func(ctx context.Context) ([]byte, error) {
+		out, err := rescue.Recover(ctx, static, sc, nil, rescue.Options{Budget: budget, Workers: req.Workers})
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(recoverResponse(out))
+	})()
+	s.finish(c, body, cacheBypass, err)
+	s.cfg.Logf("recover m=%d n=%d faults=%d %v", plat.M, req.Graph.NumTasks(), len(fs), time.Since(c.start))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
