@@ -41,19 +41,20 @@ var distSweepCombos = []struct {
 // plateau) are solved by a loopback coordinator/worker fleet swept over
 // 1, 2, 4 and 8 workers, against a single-node core.Solve baseline.
 // Each parameter combo runs three times — a "static" fabric (speculative
-// re-dispatch off), a "spec" fabric (on), and a "dedup" fabric (spec plus
-// per-worker transposition tables with digest exchange) — with one
-// artificial straggler worker per multi-worker fleet, so the trio
-// measures what latency-quantile speculation buys against a slow machine
-// and what duplicate detection removes from the distributed search.
+// re-dispatch off), a "spec" fabric (on), and a "dupfree" fabric (spec
+// plus duplicate-free generation, as bbserved sends every distributed
+// solve) — with one artificial straggler worker per multi-worker fleet,
+// so the trio measures what latency-quantile speculation buys against a
+// slow machine and what duplicate-free generation removes from the
+// distributed search.
 //
 // The figure's columns are re-purposed: Vertices holds the wall-clock
 // speedup (sequential wall / distributed wall, >1 means the fabric wins),
 // Lateness the searched-vertex ratio (distributed expanded / sequential
 // expanded — the redundancy the frontier split pays, or the pruning it
-// gains; comparing the "dedup" series against "spec" at each worker
-// count reads off the transposition table's reduction directly, since
-// both share the one no-dedup sequential baseline), MaxAS the
+// gains; comparing the "dupfree" series against "spec" at each worker
+// count reads off the duplicate-free tree's reduction directly, since
+// both share the one knob-off sequential baseline), MaxAS the
 // Lively-style load-balance signal: the spread between
 // the busiest and idlest worker's busy fraction (0 = perfectly balanced,
 // →1 = one worker does everything while others starve). Per-worker slice
@@ -82,15 +83,15 @@ func DistSweep(cfg exp.Config) (exp.Figure, error) {
 	modes := []struct {
 		name     string
 		mitigate bool
-		dedup    bool
+		dupFree  bool
 	}{
 		{"static", false, false},
 		{"spec", true, false},
-		// Dedup keeps speculation on (the production configuration) and
-		// turns on the workers' transposition tables, so its searched-vertex
-		// ratio against the same sequential baseline isolates what duplicate
-		// detection removes from the distributed search.
-		{"dedup", true, true},
+		// Dupfree keeps speculation on (the production configuration) and
+		// turns on duplicate-free generation, so its searched-vertex ratio
+		// against the same sequential baseline isolates what the rules
+		// remove from the distributed search.
+		{"dupfree", true, true},
 	}
 
 	series := make([]exp.Series, 0, len(distSweepCombos)*len(modes))
@@ -120,9 +121,7 @@ func DistSweep(cfg exp.Config) (exp.Figure, error) {
 		for _, mode := range modes {
 			variant := combo.name + " " + mode.name
 			mp := p
-			if mode.dedup {
-				mp.Dedup = true
-			}
+			mp.DuplicateFree = mode.dupFree
 			s := exp.Series{Variant: variant, Points: make([]exp.Point, len(distSweepWorkers))}
 			for j, workers := range distSweepWorkers {
 				pt := &s.Points[j]
@@ -147,10 +146,10 @@ func DistSweep(cfg exp.Config) (exp.Figure, error) {
 							float64(res.Stats.Expanded)/float64(base.res.Stats.Expanded),
 							load.spread, load.broadcasts, load.speculated, load.redispatched,
 							wall.Round(time.Millisecond))
-						if mode.dedup {
-							cfg.Logf("exp: dist-sweep %s w=%d seed=%d:   dedup pruned %d, table hits %d, bytes high-water %d",
+						if mode.dupFree {
+							cfg.Logf("exp: dist-sweep %s w=%d seed=%d:   skipped %d, generated %d (sequential %d)",
 								variant, workers, distSweepSeeds[ii],
-								res.Stats.DedupPruned, res.Stats.TableHits, res.Stats.TableBytesInUse)
+								res.Stats.Skipped, res.Stats.Generated, base.res.Stats.Generated)
 						}
 						for _, wl := range load.workers {
 							cfg.Logf("exp: dist-sweep %s w=%d seed=%d:   worker %q busy=%.2f service p50=%.1fms p90=%.1fms reports=%d",

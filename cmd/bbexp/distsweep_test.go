@@ -36,8 +36,8 @@ func TestDistSweepShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DistSweep: %v", err)
 	}
-	// One "static", one "spec" (speculation-enabled) and one "dedup"
-	// (speculation + transposition tables) series per combo.
+	// One "static", one "spec" (speculation-enabled) and one "dupfree"
+	// (speculation + duplicate-free generation) series per combo.
 	if fig.ID != "dist-sweep" || len(fig.Series) != 3*len(distSweepCombos) {
 		t.Fatalf("unexpected figure shape: %+v", fig)
 	}

@@ -1,7 +1,9 @@
 // Command bbfuzz runs the differential testing campaign indefinitely (or
-// for -n instances): every solver configuration is cross-checked against
-// the others, the brute-force oracle, and the certified bounds on streams
-// of random workloads. Any discrepancy aborts with a reproducer seed.
+// for -n instances): every solver configuration, and the fleet's frontier
+// split with and without duplicate-free generation, is cross-checked
+// against the others, the brute-force oracle, and the certified bounds on
+// streams of random workloads. Any discrepancy aborts with a reproducer
+// seed.
 //
 // With -residual the campaign instead targets fault recovery: random fault
 // scenarios are injected into list schedules and the residual-problem

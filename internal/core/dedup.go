@@ -5,26 +5,22 @@ import (
 )
 
 // dedupTable resolves the transposition table for a run with Params.Dedup:
-// the externally supplied one, or a private table sized by DedupBudget —
-// the table an earlier solve released, when its size fits
-// (transpose.Acquire).
+// a private table sized by DedupBudget — the table an earlier solve
+// released, when its size fits (transpose.Acquire).
 // Returns nil when dedup is off.
 func dedupTable(p Params) *transpose.Table {
 	if !p.Dedup {
 		return nil
 	}
-	if p.DedupTable != nil {
-		return p.DedupTable
-	}
 	return transpose.Acquire(p.DedupBudget)
 }
 
 // releaseTable hands a run's private table back for the next solve once
-// the run is over and its stats are taken. A caller's Params.DedupTable is
-// never recycled, and neither is the table of a run whose search failed:
-// a recovered panic may have left a stripe lock held.
-func releaseTable(p Params, tt *transpose.Table, failed bool) {
-	if tt == nil || p.DedupTable != nil || failed {
+// the run is over and its stats are taken. The table of a run whose
+// search failed is not recycled: a recovered panic may have left a stripe
+// lock held.
+func releaseTable(tt *transpose.Table, failed bool) {
+	if tt == nil || failed {
 		return
 	}
 	tt.Release()

@@ -15,11 +15,11 @@ func sameStats(a, b Stats) bool {
 	return a == b
 }
 
-// TestDedupTableRecyclingConcurrent runs sequential and parallel dedup
+// TestDedupRecyclingConcurrent runs sequential and parallel dedup
 // solves while other goroutines cycle tables of the same size through the
 // transpose spare (run it under -race -count=10): a recycled table must
 // never carry state from one owner to the next.
-func TestDedupTableRecyclingConcurrent(t *testing.T) {
+func TestDedupRecyclingConcurrent(t *testing.T) {
 	const budget = 1 << 20
 	graphs := wideWorkloads(t, 2, 9, 101)
 	plat := platform.New(3)

@@ -177,36 +177,6 @@ func TestDedupParallelAndIDAMatchSequential(t *testing.T) {
 	}
 }
 
-// TestDedupSharedExternalTable: a second run over a warm table must carry
-// the first run's incumbent (DedupTable's soundness contract) — that is the
-// distributed fleet's slice-to-slice reuse, where the global incumbent
-// exchange plays the seeding role. The warm run still lands on the optimum
-// and actually hits the table.
-func TestDedupSharedExternalTable(t *testing.T) {
-	n := 12
-	if heavyBuild {
-		n = 10
-	}
-	g := wideWorkloads(t, 1, n, 31)[0]
-	plat := platform.New(3)
-	want := mustSolve(t, g, plat, Params{}).Cost
-	tt := transpose.New(1 << 20)
-	first := mustSolve(t, g, plat, Params{Dedup: true, DedupTable: tt})
-	if first.Cost != want {
-		t.Fatalf("cold shared-table cost %d != %d", first.Cost, want)
-	}
-	warm := mustSolve(t, g, plat, Params{
-		Dedup: true, DedupTable: tt,
-		UpperBound: UpperBoundSeeded, SeedSchedule: first.Schedule,
-	})
-	if warm.Cost != want {
-		t.Fatalf("warm shared-table cost %d != %d", warm.Cost, want)
-	}
-	if s := tt.Snapshot(); s.Hits == 0 {
-		t.Error("second run over a warm shared table recorded no hits")
-	}
-}
-
 // TestDedupTinyBudgetStaysCorrect: a table at the minimum size thrashes with
 // evictions yet must never change the answer (a miss only costs re-search).
 func TestDedupTinyBudgetStaysCorrect(t *testing.T) {
@@ -238,16 +208,10 @@ func TestDedupValidation(t *testing.T) {
 	}{
 		{"negative budget", Params{Dedup: true, DedupBudget: -1}, "negative dedup budget"},
 		{"budget without dedup", Params{DedupBudget: 1 << 20}, "without Dedup"},
-		{"table without dedup", Params{DedupTable: transpose.New(0)}, "without Dedup"},
 	}
 	for _, c := range cases {
 		if _, err := Solve(g, plat, c.p); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got %v, want %q", c.name, err, c.want)
 		}
-	}
-	// IDA additionally refuses an external table: it resets per iteration.
-	_, err := SolveIDA(g, plat, Params{Dedup: true, DedupTable: transpose.New(0)})
-	if err == nil || !strings.Contains(err.Error(), "private dedup table") {
-		t.Errorf("IDA with DedupTable: got %v", err)
 	}
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -227,29 +229,89 @@ func TestDuplicateFreeDriversAgree(t *testing.T) {
 	}
 }
 
-// TestDuplicateFreeRejections: the combinations without a soundness
-// argument, and the drivers that cannot carry the knob, fail loudly.
+// TestDuplicateFreeRejections: the combination without a soundness
+// argument fails loudly.
 func TestDuplicateFreeRejections(t *testing.T) {
 	g := smallWorkloads(t, 1, 2501)[0]
 	plat := platform.New(2)
-	st := sched.NewState(g, plat)
-	prefix := []sched.Placement{st.Place(st.ReadyTasks(nil)[0], 0)}
-	for _, c := range []struct {
-		name string
-		p    Params
-		want string
-	}{
-		{"dominance", Params{DuplicateFree: true, Dominance: true}, "dominance"},
-		{"prefix", Params{DuplicateFree: true, Prefix: prefix}, "Prefix"},
-	} {
-		if err := c.p.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: Validate = %v, want an error naming %q", c.name, err, c.want)
-		}
-		if _, err := Solve(g, plat, c.p); err == nil {
-			t.Errorf("%s: Solve accepted the combination", c.name)
+	p := Params{DuplicateFree: true, Dominance: true}
+	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "dominance") {
+		t.Errorf("Validate = %v, want an error naming the dominance rule", err)
+	}
+	if _, err := Solve(g, plat, p); err == nil {
+		t.Error("Solve accepted DuplicateFree with the dominance rule")
+	}
+}
+
+// TestDuplicateFreePrefix: a DuplicateFree solve accepts every slice of a
+// frontier enumerated under the same params, and rejects, naming the
+// placement, a prefix that puts a task on a twin processor or, under BFn,
+// below its predecessor in (start, ID) order. Without the knob both
+// prefixes are searched as before.
+func TestDuplicateFreePrefix(t *testing.T) {
+	plat := platform.New(3)
+	var g *taskgraph.Graph
+	var ready []taskgraph.TaskID
+	for _, c := range smallWorkloads(t, 20, 2601) {
+		if ready = sched.NewState(c, plat).ReadyTasks(nil); len(ready) >= 2 && c.NumTasks() > 2 {
+			g = c
+			break
 		}
 	}
-	if _, err := EnumerateFrontier(g, plat, Params{DuplicateFree: true}, 4); err == nil || !strings.Contains(err.Error(), "DuplicateFree") {
-		t.Errorf("EnumerateFrontier with DuplicateFree: %v, want a rejection", err)
+	if g == nil {
+		t.Fatal("no workload with two source tasks")
+	}
+	for _, p := range []Params{
+		{DuplicateFree: true},
+		{Selection: SelectLLB, DuplicateFree: true},
+		{Branching: BranchDF, DuplicateFree: true},
+	} {
+		// No upper bound, so the expansion cannot prune the tree away.
+		p.UpperBound, p.FixedUpperBound = UpperBoundFixed, taskgraph.Infinity
+		f, err := EnumerateFrontier(g, plat, p, 16)
+		if err != nil || len(f.Slices) == 0 {
+			t.Fatalf("%v: %d slices, %v", p, len(f.Slices), err)
+		}
+		for i, sl := range f.Slices {
+			sp := p
+			sp.Prefix, sp.UpperBound, sp.FixedUpperBound = sl.Prefix, UpperBoundFixed, f.BestCost
+			if _, err := Solve(g, plat, sp); err != nil {
+				t.Fatalf("%v slice %d: %v", p, i, err)
+			}
+		}
+	}
+
+	// x precedes y in (start, ID) order on empty processors. Placing x on
+	// p1 while p0 is empty uses a twin; placing y on p0 and then x on p1
+	// breaks start-time order, which DF does not apply.
+	st := sched.NewState(g, plat)
+	slices.SortFunc(ready, func(a, b taskgraph.TaskID) int {
+		return cmp.Or(cmp.Compare(st.EST(a, 0), st.EST(b, 0)), cmp.Compare(a, b))
+	})
+	x, y := ready[0], ready[1]
+	twin := []sched.Placement{st.Place(x, 1)}
+	st.Reset()
+	order := []sched.Placement{st.Place(y, 0), st.Place(x, 1)}
+	for _, c := range []struct {
+		name   string
+		p      Params
+		prefix []sched.Placement
+		want   string // "" = accepted
+	}{
+		{"twin", Params{DuplicateFree: true}, twin, fmt.Sprintf("placement 0 (task %d on p1", x)},
+		{"twin DF", Params{Branching: BranchDF, DuplicateFree: true}, twin, fmt.Sprintf("placement 0 (task %d on p1", x)},
+		{"order", Params{DuplicateFree: true}, order, fmt.Sprintf("placement 1 (task %d on p1", x)},
+		{"order DF", Params{Branching: BranchDF, DuplicateFree: true}, order, ""},
+		{"twin knob off", Params{}, twin, ""},
+		{"order knob off", Params{}, order, ""},
+	} {
+		c.p.Prefix = c.prefix
+		_, err := Solve(g, plat, c.p)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: got %v, want an error naming %q", c.name, err, c.want)
+		}
 	}
 }

@@ -55,7 +55,10 @@ type Frontier struct {
 // search tree exactly: every vertex of the sequential tree is in the
 // expansion, below exactly one slice, or pruned by a bound both searches
 // share. Goals reached during expansion are adopted into the incumbent,
-// never sliced.
+// never sliced. Under DuplicateFree the tree is the duplicate-free one:
+// every slice is a path of it, and since both rules read only the state
+// and its last placement, a solve below the slice's Prefix with the same
+// knob searches exactly the slice's part of that tree.
 //
 // The frontier is deterministic: same instance, same Params, same target
 // ⇒ same slices in the same order.
@@ -69,10 +72,6 @@ func EnumerateFrontier(g *taskgraph.Graph, plat platform.Platform, p Params, tar
 			return fmt.Errorf("core: frontier expansion does not support Prefix, Link or Observer")
 		case p.Dominance:
 			return fmt.Errorf("core: frontier expansion does not support the dominance rule")
-		case p.DuplicateFree:
-			// Slices are searched under a Prefix, which the knob rejects,
-			// and the dist wire does not carry it.
-			return fmt.Errorf("core: frontier expansion does not support DuplicateFree")
 		case p.Resources.MaxActiveSet != 0 || p.Resources.MaxChildren != 0:
 			return fmt.Errorf("core: MAXSZAS/MAXSZDB are not supported by frontier expansion")
 		}

@@ -40,8 +40,9 @@ func solveSlices(t *testing.T, g *taskgraph.Graph, plat platform.Platform, p Par
 // TestFrontierPartition is the distribution soundness test: a frontier
 // expansion plus an independent solve of every slice (folded through the
 // shared incumbent) must land on exactly the sequential solver's cost,
-// for any combination of selection/branching/bound rules and any frontier
-// size. This is the invariant bbfleet's correctness rests on.
+// for any combination of selection/branching/bound rules, with and without
+// duplicate-free generation, and any frontier size. This is the invariant
+// the fleet's correctness rests on.
 func TestFrontierPartition(t *testing.T) {
 	combos := []Params{
 		{},
@@ -49,29 +50,35 @@ func TestFrontierPartition(t *testing.T) {
 		{Bound: BoundLB0},
 		{Branching: BranchDF, Bound: BoundLB0},
 		{Selection: SelectLLB, Branching: BranchBF1},
+		{DuplicateFree: true},
+		{Selection: SelectLLB, DuplicateFree: true},
+		{Branching: BranchDF, Bound: BoundLB0, DuplicateFree: true},
+		{Dedup: true, DuplicateFree: true},
 	}
 	graphs := smallWorkloads(t, 2, 101)
 	graphs = append(graphs, paperWorkloads(t, 2, 909)...)
 	for gi, g := range graphs {
-		plat := platform.New(2)
-		for _, p := range combos {
-			seq := mustSolve(t, g, plat, p)
-			for _, target := range []int{1, 4, 16} {
-				f, err := EnumerateFrontier(g, plat, p, target)
-				if err != nil {
-					t.Fatalf("graph %d target %d: %v", gi, target, err)
-				}
-				if f.Exhausted {
-					if len(f.Slices) != 0 {
-						t.Fatalf("graph %d: exhausted frontier with %d slices", gi, len(f.Slices))
+		for _, m := range []int{2, 3} {
+			plat := platform.New(m)
+			for _, p := range combos {
+				seq := mustSolve(t, g, plat, p)
+				for _, target := range []int{1, 4, 16} {
+					f, err := EnumerateFrontier(g, plat, p, target)
+					if err != nil {
+						t.Fatalf("graph %d m=%d target %d: %v", gi, m, target, err)
 					}
-					if f.BestCost != seq.Cost {
-						t.Fatalf("graph %d target %d: exhausted cost %d, sequential %d", gi, target, f.BestCost, seq.Cost)
+					if f.Exhausted {
+						if len(f.Slices) != 0 {
+							t.Fatalf("graph %d m=%d: exhausted frontier with %d slices", gi, m, len(f.Slices))
+						}
+						if f.BestCost != seq.Cost {
+							t.Fatalf("graph %d m=%d target %d: exhausted cost %d, sequential %d", gi, m, target, f.BestCost, seq.Cost)
+						}
+						continue
 					}
-					continue
-				}
-				if got := solveSlices(t, g, plat, p, f); got != seq.Cost {
-					t.Errorf("graph %d target %d params %+v: merged cost %d, sequential %d", gi, target, p, got, seq.Cost)
+					if got := solveSlices(t, g, plat, p, f); got != seq.Cost {
+						t.Errorf("graph %d m=%d target %d params %+v: merged cost %d, sequential %d", gi, m, target, p, got, seq.Cost)
+					}
 				}
 			}
 		}
@@ -127,6 +134,9 @@ func TestFrontierReferenceKernelIdentical(t *testing.T) {
 		{ChildOrder: ChildrenAsGenerated},
 		{Dedup: true},
 		{UpperBound: UpperBoundFixed, FixedUpperBound: taskgraph.Infinity},
+		{DuplicateFree: true},
+		{Selection: SelectLLB, Branching: BranchBF1, DuplicateFree: true},
+		{Bound: BoundLB0, Dedup: true, DuplicateFree: true},
 	}
 	graphs := append(smallWorkloads(t, 3, 41), paperWorkloads(t, 3, 777)...)
 	for gi, g := range graphs {

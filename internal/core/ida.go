@@ -46,8 +46,6 @@ func SolveIDA(g *taskgraph.Graph, plat platform.Platform, p Params) (Result, err
 			return fmt.Errorf("core: iterative deepening does not support event observers")
 		case p.Prefix != nil || p.Link != nil:
 			return fmt.Errorf("core: iterative deepening does not support Prefix or Link")
-		case p.DedupTable != nil:
-			return fmt.Errorf("core: iterative deepening manages a private dedup table (it is reset per threshold iteration); DedupTable is not supported")
 		}
 		return nil
 	})
@@ -68,7 +66,7 @@ func SolveIDA(g *taskgraph.Graph, plat platform.Platform, p Params) (Result, err
 	}
 	s.run()
 	fillTableStats(&s.stats, s.tt)
-	releaseTable(p, s.tt, false)
+	releaseTable(s.tt, false)
 	s.stats.Elapsed = time.Since(start) //bbvet:ignore nondet (reporting only)
 	s.stats.MaxActiveSet = g.NumTasks() // the recursion stack is the whole memory story
 	reason := TermExhausted

@@ -166,13 +166,7 @@ type expander struct {
 	dom *domTable        // domination rule D (Params.Dominance); nil when off
 	tt  *transpose.Table // duplicate detection (Params.Dedup); nil when off
 
-	// Duplicate-free generation (Params.DuplicateFree), all nil when off:
-	// class is each processor's interchangeability class, twin marks the
-	// processors the symmetry rule skips at the current expansion, and
-	// seen is per-class scratch for marking them.
-	class []int
-	twin  []bool
-	seen  []bool
+	dup dupFree // duplicate-free generation (Params.DuplicateFree); zero when off
 
 	// threshold is SolveIDA's probe threshold: children bounded above it
 	// are deferred to the next iteration, and nextThr records the least
@@ -208,9 +202,7 @@ func newExpander(g *taskgraph.Graph, plat platform.Platform, p Params, tt *trans
 		e.dom = newDomTable(g.NumTasks())
 	}
 	if p.DuplicateFree {
-		e.class = plat.Classes()
-		e.twin = make([]bool, plat.M)
-		e.seen = make([]bool, plat.M)
+		e.dup = newDupFree(plat, p.Branching)
 	}
 	if tt != nil {
 		e.st.EnableSignature()
@@ -316,10 +308,10 @@ func (e *expander) generate(parent uint64, kids []child) []child {
 	}
 	level := int32(e.st.NumPlaced()) + 1
 	limit := e.pol.limit()
-	dupFree := e.class != nil
+	dup := e.dup.on()
 	var floor sched.Placement
-	if dupFree {
-		floor = e.beginDuplicateFree()
+	if dup {
+		floor = e.dup.begin(e.st)
 	}
 	e.readyBuf = e.br.tasks(e.st, e.readyBuf[:0])
 	for _, id := range e.readyBuf {
@@ -331,7 +323,7 @@ func (e *expander) generate(parent uint64, kids []child) []child {
 			if !e.plat.Allows(id, proc) {
 				continue
 			}
-			if dupFree && e.skip(id, proc, floor) {
+			if dup && e.dup.skip(e.st, id, proc, floor) {
 				e.stats.Skipped++
 				continue
 			}
@@ -388,43 +380,69 @@ func (e *expander) generate(parent uint64, kids []child) []child {
 	return kids
 }
 
-// beginDuplicateFree prepares one expansion of the current state for
-// duplicate-free generation. It marks as twins the processors the symmetry
-// rule skips: each empty processor with an empty lower-index processor of
-// its class. A processor is empty exactly when its ProcFree is 0: a task
-// starts no earlier than its phase (>= 0) and runs for at least one time
-// unit (taskgraph rejects exec <= 0, and ExecCost keeps a positive demand
-// positive), so a processor holding a task is free only after time 0.
-// It returns start-time order's floor, the last placement, or a floor
-// with Task NoTask where the rule does not apply: at the root, and under
-// DF and BF1, whose answers it would change.
-func (e *expander) beginDuplicateFree() sched.Placement {
-	clear(e.seen)
-	for q, c := range e.class {
-		empty := e.st.ProcFree(platform.Proc(q)) == 0
-		e.twin[q] = empty && e.seen[c]
-		e.seen[c] = e.seen[c] || empty
-	}
-	depth := e.st.Depth()
-	if e.p.Branching != BranchBFn || depth == 0 {
-		return sched.Placement{Task: taskgraph.NoTask}
-	}
-	last := e.st.TrailEntry(depth - 1).Task
-	return sched.Placement{Task: last, Start: e.st.Start(last)}
+// dupFree holds duplicate-free generation's two rules (Params.DuplicateFree)
+// for one state being walked down a path: expander.generate asks them
+// which children to skip, and checkPrefix asks them whether a Prefix is a
+// path of the duplicate-free tree. Both rules read only the state and its
+// last placement. class is each processor's interchangeability class, twin
+// marks the processors the symmetry rule skips at the current state, seen
+// is per-class scratch for marking them, and order is set when start-time
+// order applies (BFn).
+type dupFree struct {
+	class []int
+	twin  []bool
+	seen  []bool
+	order bool
 }
 
-// skip reports whether duplicate-free generation drops the child placing
-// task id on processor q: q is a twin, or the child's (start, task ID) is
+func newDupFree(plat platform.Platform, b BranchingRule) dupFree {
+	return dupFree{
+		class: plat.Classes(),
+		twin:  make([]bool, plat.M),
+		seen:  make([]bool, plat.M),
+		order: b == BranchBFn,
+	}
+}
+
+// on reports whether the rules are in force (Params.DuplicateFree).
+func (d *dupFree) on() bool { return d.class != nil }
+
+// begin prepares one expansion of st. It marks as twins the processors the
+// symmetry rule skips: each empty processor with an empty lower-index
+// processor of its class. A processor is empty exactly when its ProcFree
+// is 0: a task starts no earlier than its phase (>= 0) and runs for at
+// least one time unit (taskgraph rejects exec <= 0, and ExecCost keeps a
+// positive demand positive), so a processor holding a task is free only
+// after time 0. It returns start-time order's floor, the last placement,
+// or a floor with Task NoTask where the rule does not apply: at the root,
+// and under DF and BF1, whose answers it would change.
+func (d *dupFree) begin(st *sched.State) sched.Placement {
+	clear(d.seen)
+	for q, c := range d.class {
+		empty := st.ProcFree(platform.Proc(q)) == 0
+		d.twin[q] = empty && d.seen[c]
+		d.seen[c] = d.seen[c] || empty
+	}
+	depth := st.Depth()
+	if !d.order || depth == 0 {
+		return sched.Placement{Task: taskgraph.NoTask}
+	}
+	last := st.TrailEntry(depth - 1).Task
+	return sched.Placement{Task: last, Start: st.Start(last)}
+}
+
+// skip reports whether the rules drop the child of st placing ready task
+// id on processor q: q is a twin, or the child's (start, task ID) is
 // lexicographically below the floor's. The start is EST, read before any
 // Place, so a skipped child costs no Place, Undo or bound.
-func (e *expander) skip(id taskgraph.TaskID, q platform.Proc, floor sched.Placement) bool {
-	if e.twin[q] {
+func (d *dupFree) skip(st *sched.State, id taskgraph.TaskID, q platform.Proc, floor sched.Placement) bool {
+	if d.twin[q] {
 		return true
 	}
 	if floor.Task == taskgraph.NoTask {
 		return false
 	}
-	est := e.st.EST(id, q)
+	est := st.EST(id, q)
 	return est < floor.Start || est == floor.Start && id < floor.Task
 }
 

@@ -108,7 +108,7 @@ func SolveParallelContext(ctx context.Context, g *taskgraph.Graph, plat platform
 	}
 	stats.MaxActiveSet += ps.poolHigh
 	fillTableStats(&stats, ps.tt)
-	releaseTable(p, ps.tt, err != nil)
+	releaseTable(ps.tt, err != nil)
 	stats.Elapsed = time.Since(start) //bbvet:ignore nondet (reporting only)
 	stats.TimedOut = ps.timedOut.Load()
 

@@ -40,7 +40,6 @@ import (
 
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
-	"repro/internal/transpose"
 )
 
 // SelectionRule is the vertex selection rule S: which active vertex the
@@ -351,22 +350,6 @@ type Params struct {
 	// allocated while the process is idle. Larger tables are not retained.
 	DedupBudget int64
 
-	// DedupTable, when non-nil, supplies the transposition table instead
-	// of a private one — the distributed fleet shares one table across the
-	// slices a worker solves, and callers may pre-seed a table with peer
-	// digests. Requires Dedup; DedupBudget is ignored (the table owns its
-	// budget). Rejected by SolveIDA, which must reset its table between
-	// threshold iterations and therefore always builds a private one.
-	//
-	// Soundness contract for a table that is warm from an earlier run:
-	// pruning a child as a duplicate discards solutions the EARLIER run
-	// explored against the EARLIER run's incumbent. The later run must
-	// therefore start from an upper bound that already accounts for every
-	// solution the earlier run found — seed it (UpperBoundSeeded) with the
-	// earlier result, or share a Link incumbent exchange, as the fleet
-	// does. A warm table with a cold incumbent silently loses solutions.
-	DedupTable *transpose.Table
-
 	// DuplicateFree generates each partial schedule once instead of once
 	// per relabeling of the empty processors and once per interleaving of
 	// independent tasks. Two rules skip children before they are placed:
@@ -382,9 +365,10 @@ type Params struct {
 	// (DESIGN.md, "Duplicate-free generation"). The tree is not the
 	// paper's: Generated and every other count describe the reduced tree,
 	// and skipped children are counted in Stats.Skipped alone. Rejected
-	// with Dominance, which has no soundness argument with the rules, and
-	// with Prefix, below whose last placement start-time order could skip
-	// the prefix's best completion. With the knob off (the default) the
+	// with Dominance, which has no soundness argument with the rules. A
+	// Prefix must be a path of the duplicate-free tree, as every slice of
+	// a frontier enumerated under the knob is: Solve names the first
+	// placement the rules would skip. With the knob off (the default) the
 	// search walks the paper's tree, event for event.
 	DuplicateFree bool
 
@@ -470,14 +454,11 @@ func (p Params) Validate() error {
 	if p.DedupBudget < 0 {
 		return fmt.Errorf("core: negative dedup budget %d", p.DedupBudget)
 	}
-	if !p.Dedup && (p.DedupBudget != 0 || p.DedupTable != nil) {
-		return fmt.Errorf("core: DedupBudget/DedupTable set without Dedup")
+	if !p.Dedup && p.DedupBudget != 0 {
+		return fmt.Errorf("core: DedupBudget set without Dedup")
 	}
 	if p.DuplicateFree && p.Dominance {
 		return fmt.Errorf("core: DuplicateFree with the dominance rule is not supported (no soundness argument)")
-	}
-	if p.DuplicateFree && p.Prefix != nil {
-		return fmt.Errorf("core: DuplicateFree with a Prefix is not supported (start-time order could skip the prefix's best completion)")
 	}
 	return nil
 }

@@ -50,9 +50,10 @@ type Stats struct {
 	Skipped int64
 
 	// The transposition-table gauges below are a snapshot taken when the
-	// run ends; with a shared table (Params.DedupTable, SolveParallel,
-	// the fleet) they are cumulative across everything the table served,
-	// not per-run. All zero when Dedup is off.
+	// run ends. SolveParallel's workers share one table, so its gauges
+	// cover every worker; a fleet solve sums its slices' hits, evictions
+	// and stale counts and keeps the largest slice's BytesInUse. All zero
+	// when Dedup is off.
 	TableHits       int64 // probes answered by a subsuming entry
 	TableEvictions  int64 // live entries displaced by replacement
 	TableStale      int64 // dead (epoch-expired) entries touched
@@ -178,7 +179,7 @@ func SolveContext(ctx context.Context, g *taskgraph.Graph, plat platform.Platfor
 		if p.Dominance && g.NumTasks() > 63 {
 			return fmt.Errorf("core: dominance rule supports at most 63 tasks, graph has %d", g.NumTasks())
 		}
-		return checkPrefix(g, plat, p.Prefix)
+		return checkPrefix(g, plat, p)
 	})
 	if err != nil {
 		return Result{}, err
@@ -200,7 +201,7 @@ func SolveContext(ctx context.Context, g *taskgraph.Graph, plat platform.Platfor
 	s.runRecovering()
 	s.arena.release() // the search tree is dead; drop its slabs wholesale
 	fillTableStats(&s.stats, s.tt)
-	releaseTable(p, s.tt, s.panicked != nil)
+	releaseTable(s.tt, s.panicked != nil)
 	s.stats.Elapsed = time.Since(start) //bbvet:ignore nondet (reporting only)
 	if s.popAgeObs > 0 {
 		s.stats.MeanPopAge = s.popAgeSum / float64(s.popAgeObs)
@@ -428,9 +429,14 @@ func prefixChain(prefix []sched.Placement) *vertex {
 // checkPrefix validates a Params.Prefix against the instance by replaying
 // it on a throwaway state: range errors surface as Replay errors, and a
 // structurally impossible sequence (task not ready, start/finish not
-// matching the scheduling operation) surfaces as a recovered panic. A nil
-// or empty prefix is trivially valid.
-func checkPrefix(g *taskgraph.Graph, plat platform.Platform, prefix []sched.Placement) (err error) {
+// matching the scheduling operation) surfaces as a recovered panic. Under
+// DuplicateFree each placement must also survive the rules
+// expander.generate applies at its parent, so the prefix is a path of the
+// duplicate-free tree, as every slice of a frontier built under the knob
+// is; the first placement the rules would skip is named. A nil or empty
+// prefix is trivially valid.
+func checkPrefix(g *taskgraph.Graph, plat platform.Platform, p Params) (err error) {
+	prefix := p.Prefix
 	if len(prefix) == 0 {
 		return nil
 	}
@@ -442,8 +448,29 @@ func checkPrefix(g *taskgraph.Graph, plat platform.Platform, prefix []sched.Plac
 			err = fmt.Errorf("core: invalid prefix: %v", r)
 		}
 	}()
-	if rerr := sched.NewState(g, plat).Replay(prefix); rerr != nil {
+	st := sched.NewState(g, plat)
+	if rerr := st.Replay(prefix); rerr != nil {
 		return fmt.Errorf("core: invalid prefix: %w", rerr)
+	}
+	if !p.DuplicateFree {
+		return nil
+	}
+	// The prefix replays, so each placement is a ready task on an allowed
+	// processor: walk it again and ask the rules at every parent.
+	dup := newDupFree(plat, p.Branching)
+	st.Reset()
+	for i, pl := range prefix {
+		floor := dup.begin(st)
+		if dup.skip(st, pl.Task, pl.Proc, floor) {
+			why := fmt.Sprintf("(start %d, task %d) is below the previous placement's (start %d, task %d)",
+				pl.Start, pl.Task, floor.Start, floor.Task)
+			if dup.twin[pl.Proc] {
+				why = fmt.Sprintf("p%d is empty and so is a lower-index processor of its class", pl.Proc)
+			}
+			return fmt.Errorf("core: prefix placement %d (task %d on p%d at %d) is not on the duplicate-free tree: %s",
+				i, pl.Task, pl.Proc, pl.Start, why)
+		}
+		st.Place(pl.Task, pl.Proc)
 	}
 	return nil
 }

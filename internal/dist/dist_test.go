@@ -3,7 +3,6 @@ package dist
 import (
 	"context"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/platform"
 	"repro/internal/taskgraph"
-	"repro/internal/transpose"
 )
 
 // pinnedInstance reproduces the fuzzcheck kernel campaign's instance
@@ -257,26 +255,57 @@ func TestRejectsNonDistributable(t *testing.T) {
 	}
 }
 
-// TestRejectsDuplicateFree: the wire does not carry duplicate-free
-// generation, so the fleet refuses it rather than search the paper's tree
-// under a caller who asked for the reduced one.
-func TestRejectsDuplicateFree(t *testing.T) {
-	p := core.Params{DuplicateFree: true}
-	if err := checkDistributable(p); err == nil || !strings.Contains(err.Error(), "DuplicateFree") {
-		t.Fatalf("checkDistributable(DuplicateFree) = %v, want a rejection naming it", err)
+// TestDistributedDuplicateFreeMatchesSequential: with 1, 2 and 4 workers
+// the fleet under DuplicateFree searches the duplicate-free tree — a
+// frontier of its paths, each slice solved with the knob — and returns the
+// Cost/Optimal/Guarantee/Reason of core.Solve with the knob on the
+// canonical graph, for an exact and an inexact branching rule over the
+// pinned suite, and it counts the children it skipped.
+func TestDistributedDuplicateFreeMatchesSequential(t *testing.T) {
+	combos := []core.Params{
+		{DuplicateFree: true},
+		{Branching: core.BranchDF, DuplicateFree: true},
 	}
-	if _, err := NewFleet(Config{}).Solve(context.Background(), taskgraph.Diamond(), platform.New(2), p); err == nil {
-		t.Fatal("fleet accepted a DuplicateFree solve")
+	for _, workers := range []int{1, 2, 4} {
+		fleet := startFabric(t, testConfig(), workers)
+		for i := 0; i < 6; i++ {
+			seed := 4000 + int64(i)
+			g, plat := pinnedInstance(t, seed)
+			canon, _, err := g.Canonical()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ci, p := range combos {
+				seq, err := core.Solve(canon, plat, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+				res, err := fleet.Solve(ctx, g, plat, p)
+				cancel()
+				if err != nil {
+					t.Fatalf("workers=%d seed=%d combo=%d: %v", workers, seed, ci, err)
+				}
+				if res.Cost != seq.Cost || res.Optimal != seq.Optimal || res.Guarantee != seq.Guarantee || res.Reason != seq.Reason {
+					t.Fatalf("workers=%d seed=%d combo=%d: dist (cost=%d opt=%v guar=%v %v) != seq (cost=%d opt=%v guar=%v %v)",
+						workers, seed, ci, res.Cost, res.Optimal, res.Guarantee, res.Reason,
+						seq.Cost, seq.Optimal, seq.Guarantee, seq.Reason)
+				}
+				if plat.M > 1 && res.Stats.Skipped == 0 {
+					t.Errorf("workers=%d seed=%d combo=%d: the fleet skipped no child on %d processors", workers, seed, ci, plat.M)
+				}
+			}
+		}
 	}
 }
 
 // TestSpecRoundTrip: every distributable rule combination must survive
-// the wire encoding unchanged.
+// the wire encoding unchanged, the duplicate-free knob included.
 func TestSpecRoundTrip(t *testing.T) {
 	for _, sel := range []core.SelectionRule{core.SelectLIFO, core.SelectLLB, core.SelectFIFO} {
 		for _, br := range []core.BranchingRule{core.BranchBFn, core.BranchDF, core.BranchBF1} {
 			for _, bnd := range []core.BoundFunc{core.BoundLB1, core.BoundLB0, core.BoundNone} {
-				p := core.Params{Selection: sel, Branching: br, Bound: bnd, BR: 0.125}
+				p := core.Params{Selection: sel, Branching: br, Bound: bnd, BR: 0.125, DuplicateFree: sel == core.SelectLLB}
 				spec, err := SpecFromParams(p)
 				if err != nil {
 					t.Fatal(err)
@@ -286,7 +315,7 @@ func TestSpecRoundTrip(t *testing.T) {
 					t.Fatal(err)
 				}
 				if back.Selection != p.Selection || back.Branching != p.Branching ||
-					back.Bound != p.Bound || back.BR != p.BR {
+					back.Bound != p.Bound || back.BR != p.BR || back.DuplicateFree != p.DuplicateFree {
 					t.Fatalf("round trip changed params: %+v -> %+v", p, back)
 				}
 			}
@@ -309,9 +338,8 @@ func TestSpecRejectsUnnamedRule(t *testing.T) {
 }
 
 // TestDistributedDedupMatchesSequential: the fleet with Dedup on must land
-// on the plain sequential cost at every worker count, report duplicate
-// prunes and table gauges within budget, and — with more than one worker —
-// actually move signature digests through the coordinator log.
+// on the plain sequential cost at every worker count and report table
+// gauges within budget; each slice solve runs its own table.
 func TestDistributedDedupMatchesSequential(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		fleet := startFabric(t, testConfig(), workers)
@@ -337,21 +365,5 @@ func TestDistributedDedupMatchesSequential(t *testing.T) {
 					workers, seed, res.Stats.TableBytesInUse, res.Stats.TableBudget)
 			}
 		}
-		snap := fleet.Snapshot()
-		if workers > 1 && snap.DigestEntries == 0 {
-			t.Errorf("workers=%d: no digest entries reached the coordinator log", workers)
-		}
-	}
-}
-
-// TestRejectsExternalDedupTable: the workers own their tables; a caller
-// supplying one is a layering mistake the coordinator must refuse.
-func TestRejectsExternalDedupTable(t *testing.T) {
-	g := taskgraph.Diamond()
-	plat := platform.New(2)
-	fleet := NewFleet(Config{})
-	p := core.Params{Dedup: true, DedupTable: transpose.New(0)}
-	if _, err := fleet.Solve(context.Background(), g, plat, p); err == nil {
-		t.Fatal("expected rejection of an external DedupTable")
 	}
 }

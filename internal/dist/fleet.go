@@ -111,19 +111,17 @@ func (c Config) withDefaults() Config {
 
 // Counters are the fleet-level occurrence counts surfaced in /metrics.
 type Counters struct {
-	Solves        atomic.Int64
-	Dispatched    atomic.Int64
-	Stolen        atomic.Int64
-	Redispatched  atomic.Int64
-	Speculated    atomic.Int64
-	Released      atomic.Int64
-	Drains        atomic.Int64
-	Broadcasts    atomic.Int64
-	Evictions     atomic.Int64
-	Duplicates    atomic.Int64
-	Reports       atomic.Int64
-	DigestEntries atomic.Int64 // signature-digest entries accepted into the log
-	DigestDropped atomic.Int64 // digest entries refused (log at capacity)
+	Solves       atomic.Int64
+	Dispatched   atomic.Int64
+	Stolen       atomic.Int64
+	Redispatched atomic.Int64
+	Speculated   atomic.Int64
+	Released     atomic.Int64
+	Drains       atomic.Int64
+	Broadcasts   atomic.Int64
+	Evictions    atomic.Int64
+	Duplicates   atomic.Int64
+	Reports      atomic.Int64
 }
 
 // CountersSnapshot is the JSON form of Counters, plus the fleet gauges
@@ -144,8 +142,6 @@ type CountersSnapshot struct {
 	WorkerEvictions     int64        `json:"worker_evictions"`
 	DuplicateReports    int64        `json:"duplicate_reports"`
 	SliceReports        int64        `json:"slice_reports"`
-	DigestEntries       int64        `json:"digest_entries"`
-	DigestDropped       int64        `json:"digest_dropped"`
 	Load                []WorkerLoad `json:"load,omitempty"`
 }
 
@@ -167,46 +163,6 @@ type WorkerLoad struct {
 // solveSampleCap bounds the per-solve service-time ring feeding the
 // straggler trigger.
 const solveSampleCap = 256
-
-// digestLogCap bounds the per-solve digest log; digestRespCap bounds how
-// many entries one RPC response relays (the rest follow on later polls).
-const (
-	digestLogCap  = 16384
-	digestRespCap = 512
-)
-
-// appendDigest folds an exhausted slice's fresh table entries into the
-// solve's digest log, up to the cap. Callers hold f.mu.
-func (f *Fleet) appendDigest(s *activeSolve, entries []WireDigestEntry) {
-	room := digestLogCap - len(s.digest)
-	if room <= 0 {
-		f.counters.DigestDropped.Add(int64(len(entries)))
-		return
-	}
-	if len(entries) > room {
-		f.counters.DigestDropped.Add(int64(len(entries) - room))
-		entries = entries[:room]
-	}
-	s.digest = append(s.digest, entries...)
-	f.counters.DigestEntries.Add(int64(len(entries)))
-}
-
-// digestTail returns the unseen slice of the digest log for a worker whose
-// cursor is at seen, capped per response, plus the worker's new cursor.
-// Callers hold f.mu.
-func digestTail(s *activeSolve, seen uint64) ([]WireDigestEntry, uint64) {
-	if s == nil || int(seen) >= len(s.digest) {
-		return nil, seen
-	}
-	tail := s.digest[seen:]
-	if len(tail) > digestRespCap {
-		tail = tail[:digestRespCap]
-	}
-	// Copy: the log may grow under f.mu after we release it, and the
-	// response marshals outside the lock.
-	out := append([]WireDigestEntry(nil), tail...)
-	return out, seen + uint64(len(out))
-}
 
 type sliceStatus uint8
 
@@ -246,14 +202,6 @@ type activeSolve struct {
 	// straggler trigger.
 	svc     []float64
 	svcNext int
-
-	// digest is the solve's signature-digest log: transposition-table
-	// entries from exhausted, accepted slices, appended in arrival order
-	// and relayed to the other workers (a worker's DigestSeen cursor
-	// indexes this slice). Append-only and capped; past the cap new
-	// entries are dropped (a lost digest only costs duplicate re-search,
-	// never correctness).
-	digest []WireDigestEntry
 
 	timedOut bool // some slice reported a "timeout" stop
 	lost     bool // some slice ended without exhausting for another reason
@@ -332,8 +280,6 @@ func (f *Fleet) Snapshot() CountersSnapshot {
 		WorkerEvictions:     f.counters.Evictions.Load(),
 		DuplicateReports:    f.counters.Duplicates.Load(),
 		SliceReports:        f.counters.Reports.Load(),
-		DigestEntries:       f.counters.DigestEntries.Load(),
-		DigestDropped:       f.counters.DigestDropped.Load(),
 		Load:                load,
 	}
 }
@@ -426,10 +372,6 @@ func (f *Fleet) Solve(ctx context.Context, g *taskgraph.Graph, plat platform.Pla
 
 	fp := p
 	fp.Resources.TimeLimit = 0 // the frontier expansion is cheap; ctx governs the solve
-	// The split must partition the tree exactly: a dedup-pruned frontier
-	// slice would cite a twin slice no worker has explored yet. Workers
-	// dedup within and across their own slices instead.
-	fp.Dedup, fp.DedupBudget, fp.DedupTable = false, 0, nil
 	front, err := core.EnumerateFrontier(canon, plat, fp, f.cfg.FrontierTarget)
 	if err != nil {
 		return core.Result{}, err
@@ -569,13 +511,14 @@ func foldStats(s *activeSolve, reason core.TermReason) core.Stats {
 	stats.Goals += s.expStats.Goals
 	stats.PrunedChildren += s.expStats.PrunedChildren
 	stats.PrunedActive += s.expStats.PrunedActive
+	stats.Skipped += s.expStats.Skipped
 	stats.IncumbentUpdates += s.expStats.IncumbentUpdates
 	if s.expStats.MaxActiveSet > stats.MaxActiveSet {
 		stats.MaxActiveSet = s.expStats.MaxActiveSet
 	}
 	if s.p.Dedup {
-		// Each worker runs its own table at this budget; BytesInUse is the
-		// high-water mark across workers, so the pair stays comparable.
+		// Each slice solve runs its own table at this budget; BytesInUse is
+		// the high-water mark across slices, so the pair stays comparable.
 		b := s.p.DedupBudget
 		if b == 0 {
 			b = transpose.DefaultBudget
@@ -640,10 +583,6 @@ func checkDistributable(p core.Params) error {
 		return fmt.Errorf("dist: non-default child order / tie-break are not on the wire")
 	case p.ReferenceKernel:
 		return fmt.Errorf("dist: the reference kernel is a local differential-testing mode")
-	case p.DedupTable != nil:
-		return fmt.Errorf("dist: DedupTable is owned by the workers (set Dedup/DedupBudget only)")
-	case p.DuplicateFree:
-		return fmt.Errorf("dist: DuplicateFree is not on the wire")
 	}
 	return nil
 }
@@ -970,7 +909,6 @@ func (f *Fleet) handleReport(w http.ResponseWriter, r *http.Request) {
 	dropOwned(s, req.WorkerID, req.SliceID)
 
 	resp := ReportResponse{}
-	digestPre := uint64(len(s.digest))
 	sc := &SliceCheckpoint{SolveID: s.id, ID: req.SliceID, Exhausted: req.Exhausted, Reason: req.Reason, Stats: req.Stats}
 	if !s.foldSlice(sc) {
 		// A faster worker or a re-dispatch already accounted for this
@@ -990,16 +928,6 @@ func (f *Fleet) handleReport(w http.ResponseWriter, r *http.Request) {
 		if validated {
 			f.adoptValidated(s, taskgraph.Time(req.Cost), req.Placements)
 		}
-		// Digest entries are accepted only with an ACCEPTED, EXHAUSTED
-		// slice, and only after any incumbent the report carried was
-		// adopted: by the time another worker can prune against these
-		// signatures, every solution their subtrees held is reflected in
-		// the coordinator incumbent that travels with them. The log is
-		// in-memory only (not journaled) — after a resume workers just
-		// re-discover the duplicates.
-		if req.Exhausted && s.p.Dedup {
-			f.appendDigest(s, req.Digest)
-		}
 		// Journal AFTER any adoption: a slice may become durably done only
 		// once every incumbent it carried is durable (see journal.go).
 		f.appendCheckpoint(s, CheckpointRecord{Kind: checkpointKindSlice, Slice: sc})
@@ -1011,13 +939,6 @@ func (f *Fleet) handleReport(w http.ResponseWriter, r *http.Request) {
 	resp.Incumbent = int64(s.best)
 	resp.Abandon = s.finished
 	resp.Drain = ws.Draining
-	seen := req.DigestSeen
-	if seen == digestPre {
-		// A caught-up worker skips the entries it just contributed (they
-		// are already in its own table).
-		seen = uint64(len(s.digest))
-	}
-	resp.Digest, resp.DigestVersion = digestTail(s, seen)
 	f.mu.Unlock()
 	writeJSON(w, resp)
 }
@@ -1042,6 +963,7 @@ func (s *activeSolve) foldSlice(sc *SliceCheckpoint) bool {
 	st.PrunedChildren += sc.Stats.PrunedChildren
 	st.PrunedActive += sc.Stats.PrunedActive
 	st.MaxActiveSet = max(st.MaxActiveSet, sc.Stats.MaxActiveSet)
+	st.Skipped += sc.Stats.Skipped
 	st.DedupPruned += sc.Stats.DedupPruned
 	st.TableHits += sc.Stats.TableHits
 	st.TableEvictions += sc.Stats.TableEvictions
@@ -1121,7 +1043,6 @@ func (f *Fleet) handleIncumbent(w http.ResponseWriter, r *http.Request) {
 		f.adoptValidated(s, taskgraph.Time(req.Cost), req.Placements)
 	}
 	resp := IncumbentResponse{Incumbent: int64(s.best)}
-	resp.Digest, resp.DigestVersion = digestTail(s, req.DigestSeen)
 	f.mu.Unlock()
 	writeJSON(w, resp)
 }
@@ -1137,7 +1058,6 @@ func (f *Fleet) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	resp := HeartbeatResponse{Incumbent: int64(taskgraph.Infinity), Drain: ws.Draining}
 	if s != nil && s.id == req.SolveID && !s.finished {
 		resp.Incumbent = int64(s.best)
-		resp.Digest, resp.DigestVersion = digestTail(s, req.DigestSeen)
 	} else {
 		resp.Abandon = true
 	}

@@ -169,8 +169,9 @@ func solveCheckpoint(s *activeSolve, origRaw []byte) CheckpointRecord {
 	return CheckpointRecord{Kind: checkpointKindSolve, Solve: ck}
 }
 
-// statsFromWire is the inverse of wireStats (TimedOut is reconstructed
-// from the final reason, not carried per record).
+// statsFromWire is the inverse of wireStats for the frontier expansion's
+// counters: the expansion keeps no transposition table, and TimedOut is
+// reconstructed from the final reason, not carried per record.
 func statsFromWire(ws WireStats) core.Stats {
 	return core.Stats{
 		Generated:        ws.Generated,
@@ -180,6 +181,7 @@ func statsFromWire(ws WireStats) core.Stats {
 		PrunedActive:     ws.PrunedActive,
 		IncumbentUpdates: ws.IncumbentUpdates,
 		MaxActiveSet:     ws.MaxActiveSet,
+		Skipped:          ws.Skipped,
 	}
 }
 

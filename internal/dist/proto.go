@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sched"
-	"repro/internal/transpose"
 )
 
 // ParamsSpec names the search rules on the wire by core.Params.ParseRules's
@@ -34,11 +33,15 @@ type ParamsSpec struct {
 	Bound  string  `json:"bound,omitempty"`
 	BR     float64 `json:"br,omitempty"`
 
-	// Dedup/DedupBudget ship core.Params.Dedup to the workers: each worker
-	// keeps a per-solve transposition table and exchanges signature digests
-	// through the coordinator (see the Digest fields below).
+	// Dedup/DedupBudget ship core.Params.Dedup to the workers: each slice
+	// solve keeps its own private transposition table.
 	Dedup       bool  `json:"dedup,omitempty"`
 	DedupBudget int64 `json:"dedup_budget,omitempty"`
+
+	// DuplicateFree ships core.Params.DuplicateFree: the frontier is a
+	// set of paths of the duplicate-free tree, and each slice solve
+	// searches its part of that tree.
+	DuplicateFree bool `json:"duplicate_free,omitempty"`
 }
 
 // Params decodes the wire names into solver parameters.
@@ -59,6 +62,7 @@ func (s ParamsSpec) Params() (core.Params, error) {
 	}
 	p.Dedup = s.Dedup
 	p.DedupBudget = s.DedupBudget
+	p.DuplicateFree = s.DuplicateFree
 	return p, nil
 }
 
@@ -72,11 +76,9 @@ func SpecFromParams(p core.Params) (ParamsSpec, error) {
 		return s, fmt.Errorf("dist: %w", err)
 	}
 	s.BR = p.BR
-	if p.DedupTable != nil {
-		return s, fmt.Errorf("dist: DedupTable is not encodable (workers own their tables)")
-	}
 	s.Dedup = p.Dedup
 	s.DedupBudget = p.DedupBudget
+	s.DuplicateFree = p.DuplicateFree
 	return s, nil
 }
 
@@ -98,11 +100,12 @@ type WireStats struct {
 	IncumbentUpdates int   `json:"incumbent_updates"`
 	MaxActiveSet     int   `json:"max_active_set"`
 
-	// Dedup accounting. DedupPruned is per-slice like the counters above;
-	// the worker's transposition table is shared across its slices, so the
-	// Table* counters are per-slice DELTAS of the table's cumulative
-	// counters (the worker differencing consecutive snapshots), and
-	// TableBytes is the bytes-in-use gauge at report time.
+	// Skipped counts the children duplicate-free generation dropped.
+	Skipped int64 `json:"skipped,omitempty"`
+
+	// Dedup accounting, per slice like the counters above: each slice
+	// solve runs its own transposition table, and TableBytes is its
+	// bytes-in-use gauge when the solve ends.
 	DedupPruned    int64 `json:"dedup_pruned,omitempty"`
 	TableHits      int64 `json:"table_hits,omitempty"`
 	TableEvictions int64 `json:"table_evictions,omitempty"`
@@ -119,41 +122,13 @@ func wireStats(st core.Stats) WireStats {
 		PrunedActive:     st.PrunedActive,
 		IncumbentUpdates: st.IncumbentUpdates,
 		MaxActiveSet:     st.MaxActiveSet,
+		Skipped:          st.Skipped,
 		DedupPruned:      st.DedupPruned,
+		TableHits:        st.TableHits,
+		TableEvictions:   st.TableEvictions,
+		TableStale:       st.TableStale,
+		TableBytes:       st.TableBytesInUse,
 	}
-}
-
-// WireDigestEntry is one transposition-table record on the wire: the
-// 128-bit canonical state signature, its depth, and the stored bound. The
-// fleet's digest exchange ships these from exhausted, accepted slices to
-// the other workers, piggybacked on the report/heartbeat/incumbent RPCs.
-type WireDigestEntry struct {
-	Lo    uint64 `json:"lo"`
-	Hi    uint64 `json:"hi"`
-	Depth int32  `json:"depth"`
-	LB    int64  `json:"lb"`
-}
-
-func wireDigest(entries []transpose.Entry) []WireDigestEntry {
-	if len(entries) == 0 {
-		return nil
-	}
-	out := make([]WireDigestEntry, len(entries))
-	for i, e := range entries {
-		out[i] = WireDigestEntry{Lo: e.Lo, Hi: e.Hi, Depth: e.Depth, LB: e.LB}
-	}
-	return out
-}
-
-func digestEntries(wire []WireDigestEntry) []transpose.Entry {
-	if len(wire) == 0 {
-		return nil
-	}
-	out := make([]transpose.Entry, len(wire))
-	for i, e := range wire {
-		out[i] = transpose.Entry{Lo: e.Lo, Hi: e.Hi, Depth: e.Depth, LB: e.LB}
-	}
-	return out
 }
 
 // JoinRequest registers a worker with the coordinator. WorkerID is zero
@@ -220,15 +195,6 @@ type ReportRequest struct {
 	Cost       int64             `json:"cost,omitempty"`
 	Placements []sched.Placement `json:"placements,omitempty"`
 	Stats      WireStats         `json:"stats"`
-
-	// Digest carries the signatures this slice solve freshly stored —
-	// attached ONLY when the slice was exhausted (an aborted slice's
-	// entries cite subtrees nobody fully explored, so sharing them could
-	// prune the optimum away). DigestSeen is the count of coordinator
-	// digest entries the worker has already imported, so the response
-	// ships only the unseen tail.
-	Digest     []WireDigestEntry `json:"digest,omitempty"`
-	DigestSeen uint64            `json:"digest_seen,omitempty"`
 }
 
 // ReportResponse acknowledges a slice report. Accepted is false when the
@@ -239,12 +205,6 @@ type ReportResponse struct {
 	Incumbent int64 `json:"incumbent"`
 	Abandon   bool  `json:"abandon,omitempty"`
 	Drain     bool  `json:"drain,omitempty"`
-
-	// Digest is the unseen tail of the coordinator's digest log (entries
-	// other workers stored while exhausting their slices); DigestVersion is
-	// the log position the worker has consumed after importing it.
-	Digest        []WireDigestEntry `json:"digest,omitempty"`
-	DigestVersion uint64            `json:"digest_version,omitempty"`
 }
 
 // IncumbentRequest publishes an improvement mid-slice. The coordinator
@@ -254,35 +214,29 @@ type IncumbentRequest struct {
 	SolveID    uint64            `json:"solve_id"`
 	Cost       int64             `json:"cost"`
 	Placements []sched.Placement `json:"placements"`
-	DigestSeen uint64            `json:"digest_seen,omitempty"`
 }
 
 // IncumbentResponse returns the globally best incumbent, which may be
-// better than the one just published, plus the unseen digest tail.
+// better than the one just published.
 type IncumbentResponse struct {
-	Incumbent     int64             `json:"incumbent"`
-	Digest        []WireDigestEntry `json:"digest,omitempty"`
-	DigestVersion uint64            `json:"digest_version,omitempty"`
+	Incumbent int64 `json:"incumbent"`
 }
 
 // HeartbeatRequest keeps a worker's lease alive while it grinds through a
-// long slice, and doubles as the incumbent and digest poll.
+// long slice, and doubles as the incumbent poll.
 type HeartbeatRequest struct {
-	WorkerID   int64  `json:"worker_id"`
-	SolveID    uint64 `json:"solve_id,omitempty"`
-	DigestSeen uint64 `json:"digest_seen,omitempty"`
+	WorkerID int64  `json:"worker_id"`
+	SolveID  uint64 `json:"solve_id,omitempty"`
 }
 
 // HeartbeatResponse carries the freshest incumbent back. Abandon tells
 // the worker its solve is gone (finished or canceled): drop the leased
 // slices and lease anew. Drain tells it to wind down after the current
-// slice. Digest/DigestVersion piggyback the unseen digest-log tail.
+// slice.
 type HeartbeatResponse struct {
-	Incumbent     int64             `json:"incumbent"`
-	Abandon       bool              `json:"abandon,omitempty"`
-	Drain         bool              `json:"drain,omitempty"`
-	Digest        []WireDigestEntry `json:"digest,omitempty"`
-	DigestVersion uint64            `json:"digest_version,omitempty"`
+	Incumbent int64 `json:"incumbent"`
+	Abandon   bool  `json:"abandon,omitempty"`
+	Drain     bool  `json:"drain,omitempty"`
 }
 
 // DrainRequest asks the coordinator to drain one worker, addressed by ID

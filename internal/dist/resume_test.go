@@ -127,28 +127,37 @@ func TestJournalResumeByteIdentical(t *testing.T) {
 }
 
 // TestTerminalResumeStats: a terminal Resume re-assembles the live run's
-// Stats, the dedup and table counters included, because live reports and
-// journal replay fold each slice through one method.
+// Stats, the dedup, table and skipped counters included, because live
+// reports and journal replay fold each slice through one method and the
+// expansion's counters travel in the solve record.
 func TestTerminalResumeStats(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	g, plat := pinnedInstance(t, 4001)
-	fleet := startFabric(t, journaledConfig(path), 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	want, err := fleet.Solve(ctx, g, plat, core.Params{Dedup: true, DedupBudget: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Stats.DedupPruned == 0 || want.Stats.TableBytesInUse == 0 {
-		t.Fatalf("live run exercised no table: %+v", want.Stats)
-	}
-	got, err := NewFleet(journaledConfig(path)).Resume(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want.Stats.Elapsed, got.Stats.Elapsed = 0, 0
-	if got.Stats != want.Stats {
-		t.Fatalf("terminal resume stats differ:\n got %+v\nwant %+v", got.Stats, want.Stats)
+	for _, c := range []struct {
+		p       core.Params
+		counter func(core.Stats) int64
+	}{
+		{core.Params{Dedup: true, DedupBudget: 1 << 20}, func(s core.Stats) int64 { return min(s.DedupPruned, s.TableBytesInUse) }},
+		{core.Params{DuplicateFree: true}, func(s core.Stats) int64 { return s.Skipped }},
+	} {
+		path := filepath.Join(t.TempDir(), "journal.jsonl")
+		fleet := startFabric(t, journaledConfig(path), 1)
+		want, err := fleet.Solve(ctx, g, plat, c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.counter(want.Stats) == 0 {
+			t.Fatalf("%v: live run exercised nothing to replay: %+v", c.p, want.Stats)
+		}
+		got, err := NewFleet(journaledConfig(path)).Resume(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Stats.Elapsed, got.Stats.Elapsed = 0, 0
+		if got.Stats != want.Stats {
+			t.Fatalf("%v: terminal resume stats differ:\n got %+v\nwant %+v", c.p, got.Stats, want.Stats)
+		}
 	}
 }
 

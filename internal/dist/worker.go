@@ -14,7 +14,6 @@ import (
 	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
-	"repro/internal/transpose"
 )
 
 // WorkerConfig tunes one worker process.
@@ -64,18 +63,6 @@ type Worker struct {
 	plat    platform.Platform
 	params  core.Params
 
-	// Dedup state, present only when the solve's params carry Dedup: one
-	// transposition table per solve shared across this worker's slices
-	// (created fresh in adoptLease — signatures are solve-specific), the
-	// last cumulative table snapshot (reports carry per-slice deltas), a
-	// digest scratch buffer, and the digest-log cursor. The cursor is
-	// atomic because the heartbeat goroutine imports digests while the
-	// main goroutine reports.
-	tt         *transpose.Table
-	ttPrev     transpose.Stats
-	digestBuf  []transpose.Entry
-	digestSeen atomic.Uint64
-
 	// best mirrors the globally best incumbent cost; refreshed by every
 	// coordinator response and lowered by local improvements. The solver
 	// polls it through the IncumbentLink.
@@ -87,28 +74,6 @@ type Worker struct {
 
 	// SlicesSolved counts completed slice solves (test/diagnostic hook).
 	SlicesSolved atomic.Int64
-}
-
-// digestCollectCap bounds how many fresh table entries one slice solve
-// buffers for the digest exchange; overflow is counted, not shipped.
-const digestCollectCap = 2048
-
-// importDigest folds a digest-log tail from a coordinator response into
-// the local table and advances the cursor. Safe from any goroutine: the
-// table takes stripe locks and the cursor is atomic.
-func (w *Worker) importDigest(entries []WireDigestEntry, version uint64) {
-	if w.tt == nil {
-		return
-	}
-	if len(entries) > 0 {
-		w.tt.Import(digestEntries(entries))
-	}
-	for {
-		cur := w.digestSeen.Load()
-		if version <= cur || w.digestSeen.CompareAndSwap(cur, version) {
-			return
-		}
-	}
 }
 
 // NewWorker returns an unconnected worker.
@@ -256,33 +221,39 @@ func (w *Worker) adoptLease(lease *LeaseResponse) error {
 	if lease.SolveID == w.solveID && w.g != nil {
 		return nil
 	}
-	if lease.Graph == nil {
-		return fmt.Errorf("new solve %d arrived without graph bytes", lease.SolveID)
-	}
-	g := new(taskgraph.Graph)
-	if err := json.Unmarshal(lease.Graph, g); err != nil {
-		return fmt.Errorf("graph decode: %w", err)
-	}
-	if _, err := g.TopoOrder(); err != nil {
-		return err
-	}
-	p, err := lease.Params.Params()
+	g, plat, p, err := decodeSolve(lease)
 	if err != nil {
 		return err
 	}
-	plat := platform.New(lease.Procs)
-	if err := plat.Validate(); err != nil {
-		return err
-	}
 	w.solveID, w.g, w.plat, w.params = lease.SolveID, g, plat, p
-	w.tt, w.ttPrev = nil, transpose.Stats{}
-	w.digestSeen.Store(0)
-	if p.Dedup {
-		w.tt = transpose.New(p.DedupBudget)
-		w.tt.SetCollect(digestCollectCap)
-	}
 	w.logf("dist: solve %d: %d tasks on %d procs, params %v", lease.SolveID, g.NumTasks(), lease.Procs, p)
 	return nil
+}
+
+// decodeSolve decodes the solve a lease ships: the canonical graph, the
+// platform and the search params.
+func decodeSolve(lease *LeaseResponse) (*taskgraph.Graph, platform.Platform, core.Params, error) {
+	var plat platform.Platform
+	var p core.Params
+	if lease.Graph == nil {
+		return nil, plat, p, fmt.Errorf("new solve %d arrived without graph bytes", lease.SolveID)
+	}
+	g := new(taskgraph.Graph)
+	if err := json.Unmarshal(lease.Graph, g); err != nil {
+		return nil, plat, p, fmt.Errorf("graph decode: %w", err)
+	}
+	if _, err := g.TopoOrder(); err != nil {
+		return nil, plat, p, err
+	}
+	p, err := lease.Params.Params()
+	if err != nil {
+		return nil, plat, p, err
+	}
+	plat = platform.New(lease.Procs)
+	if err := plat.Validate(); err != nil {
+		return nil, plat, p, err
+	}
+	return g, plat, p, nil
 }
 
 // solveSlice runs one frontier slice to completion under the shared
@@ -325,11 +296,9 @@ func (w *Worker) solveSlice(ctx context.Context, sl WireSlice) bool {
 				if req == nil {
 					continue
 				}
-				req.DigestSeen = w.digestSeen.Load()
 				var resp IncumbentResponse
 				if err := w.post(slCtx, "/dist/v1/incumbent", req, &resp); err == nil {
 					w.lowerBest(resp.Incumbent)
-					w.importDigest(resp.Digest, resp.DigestVersion)
 				}
 			}
 		}
@@ -344,9 +313,7 @@ func (w *Worker) solveSlice(ctx context.Context, sl WireSlice) bool {
 				return
 			case <-tick.C:
 				var resp HeartbeatResponse
-				err := w.post(slCtx, "/dist/v1/heartbeat", HeartbeatRequest{
-					WorkerID: w.id, SolveID: w.solveID, DigestSeen: w.digestSeen.Load(),
-				}, &resp)
+				err := w.post(slCtx, "/dist/v1/heartbeat", HeartbeatRequest{WorkerID: w.id, SolveID: w.solveID}, &resp)
 				if err != nil {
 					continue
 				}
@@ -357,11 +324,7 @@ func (w *Worker) solveSlice(ctx context.Context, sl WireSlice) bool {
 					cancel()
 					return
 				}
-				// Incumbent first, digest second: a digest entry may only
-				// prune once the solutions its subtree held are reflected in
-				// the bound we prune against.
 				w.lowerBest(resp.Incumbent)
-				w.importDigest(resp.Digest, resp.DigestVersion)
 			}
 		}
 	}()
@@ -370,9 +333,6 @@ func (w *Worker) solveSlice(ctx context.Context, sl WireSlice) bool {
 	p.Prefix = sl.Prefix
 	p.UpperBound = core.UpperBoundFixed
 	p.FixedUpperBound = taskgraph.Time(w.best.Load())
-	if w.tt != nil {
-		p.DedupTable = w.tt // per-solve table, warm across this worker's slices
-	}
 	p.Link = &core.IncumbentLink{
 		Best: func() taskgraph.Time { return taskgraph.Time(w.best.Load()) },
 		Publish: func(cost taskgraph.Time, pls []sched.Placement) {
@@ -410,25 +370,6 @@ func (w *Worker) solveSlice(ctx context.Context, sl WireSlice) bool {
 			report.Placements = lastSeq
 		}
 	}
-	if w.tt != nil {
-		report.DigestSeen = w.digestSeen.Load()
-		w.digestBuf = w.tt.DrainCollected(w.digestBuf[:0])
-		if report.Exhausted {
-			report.Digest = wireDigest(w.digestBuf)
-		}
-		cur := w.tt.Snapshot()
-		report.Stats.TableHits = cur.Hits - w.ttPrev.Hits
-		report.Stats.TableEvictions = cur.Evictions - w.ttPrev.Evictions
-		report.Stats.TableStale = cur.Stale - w.ttPrev.Stale
-		report.Stats.TableBytes = cur.BytesInUse
-		w.ttPrev = cur
-		if !report.Exhausted {
-			// An aborted slice stored signatures whose subtrees nobody
-			// finished exploring: they must neither be shared (Digest stays
-			// empty above) nor survive locally to prune a later slice.
-			w.tt.Reset()
-		}
-	}
 	var resp ReportResponse
 	if err := w.post(ctx, "/dist/v1/report", report, &resp); err != nil {
 		w.logf("dist: report for slice %d failed: %v", sl.ID, err)
@@ -438,7 +379,6 @@ func (w *Worker) solveSlice(ctx context.Context, sl WireSlice) bool {
 		w.draining.Store(true)
 	}
 	w.lowerBest(resp.Incumbent)
-	w.importDigest(resp.Digest, resp.DigestVersion)
 	return resp.Abandon
 }
 

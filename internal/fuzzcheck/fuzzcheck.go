@@ -10,6 +10,9 @@
 //	          also under Params.DuplicateFree with the same proof flags
 //	ida       SolveIDA == exact, with and without DuplicateFree
 //	parallel  SolveParallel == exact, with and without DuplicateFree
+//	frontier  EnumerateFrontier at targets 1, 4 and 16 plus every slice
+//	          solved under the shared incumbent == exact, with and
+//	          without DuplicateFree
 //	approx    DF, BF1, BR>0, list schedulers, EDF, improve: >= exact,
 //	          valid schedules, BR within its guarantee
 //	bounds    analysis.Lower <= exact
@@ -184,6 +187,23 @@ func checkInstance(cfg Config, seed int64) (bool, error) {
 		}
 	}
 
+	for _, dupFree := range []bool{false, true} {
+		for _, target := range []int{1, 4, 16} {
+			p := core.Params{DuplicateFree: dupFree, Resources: tl}
+			cost, exhausted, err := solveFrontier(g, plat, p, target)
+			if err != nil {
+				return false, fmt.Errorf("frontier target %d (DuplicateFree=%v): %w", target, dupFree, err)
+			}
+			if !exhausted {
+				return false, nil
+			}
+			if cost != ref.Cost || !ref.Optimal || !ref.Guarantee {
+				return false, fmt.Errorf("frontier target %d (DuplicateFree=%v) cost %d optimal=true != reference %d optimal=%v guarantee=%v",
+					target, dupFree, cost, ref.Cost, ref.Optimal, ref.Guarantee)
+			}
+		}
+	}
+
 	// Bounds.
 	rep, err := analysis.Analyze(g, plat)
 	if err != nil {
@@ -249,4 +269,32 @@ func checkInstance(cfg Config, seed int64) (bool, error) {
 		return false, fmt.Errorf("improve regressed EDF: %d > %d", imp.Cost, edfRun.Lmax)
 	}
 	return true, nil
+}
+
+// solveFrontier runs an exact search the way the fleet splits it: the
+// frontier expansion at the target, then every slice solved below its
+// prefix under the incumbent the expansion and the earlier slices left.
+// It returns the merged cost and whether every slice was exhausted, which
+// is when the coordinator claims the optimum.
+func solveFrontier(g *taskgraph.Graph, plat platform.Platform, p core.Params, target int) (taskgraph.Time, bool, error) {
+	f, err := core.EnumerateFrontier(g, plat, p, target)
+	if err != nil {
+		return 0, false, err
+	}
+	best := f.BestCost
+	for i, sl := range f.Slices {
+		sp := p
+		sp.Prefix, sp.UpperBound, sp.FixedUpperBound = sl.Prefix, core.UpperBoundFixed, best
+		r, err := core.Solve(g, plat, sp)
+		if err != nil {
+			return 0, false, fmt.Errorf("slice %d: %w", i, err)
+		}
+		if r.Reason != core.TermExhausted {
+			return 0, false, nil
+		}
+		if r.Schedule != nil && r.Cost < best {
+			best = r.Cost
+		}
+	}
+	return best, true, nil
 }

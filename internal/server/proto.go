@@ -143,9 +143,9 @@ func (r *SolveRequest) params() (core.Params, error) {
 	p.Dedup = r.Dedup
 	p.DedupBudget = r.DedupBudget
 	// A served solve returns Lmax, the flags and one schedule, not the
-	// paper's tree, so in-process global solves skip duplicate children.
-	// The dist wire does not carry the knob: fleet solves keep the tree.
-	p.DuplicateFree = !r.Distributed && r.Mode != "partitioned"
+	// paper's tree, so every global solve, in-process or on the fleet,
+	// skips duplicate children.
+	p.DuplicateFree = r.Mode != "partitioned"
 	return p, nil
 }
 

@@ -797,8 +797,8 @@ func TestSolveDedupKnob(t *testing.T) {
 	}
 }
 
-// TestServedSolvesAreDuplicateFree: in-process global solves, and only
-// they, search without duplicate children. The answer is the paper's
+// TestServedSolvesAreDuplicateFree: global solves, in-process and
+// distributed, and only they, search without duplicate children. The answer is the paper's
 // tree's, the Stats are the duplicate-free solve's on the canonical
 // graph, and the cache key tells the two apart.
 func TestServedSolvesAreDuplicateFree(t *testing.T) {
@@ -809,7 +809,7 @@ func TestServedSolvesAreDuplicateFree(t *testing.T) {
 	}{
 		{"global", SolveRequest{}, true},
 		{"parallel dedup", SolveRequest{Workers: 2, Dedup: true}, true},
-		{"distributed", SolveRequest{Distributed: true}, false},
+		{"distributed", SolveRequest{Distributed: true}, true},
 		{"partitioned", SolveRequest{Mode: "partitioned"}, false},
 	} {
 		p, err := c.req.params()

@@ -26,8 +26,7 @@
 //     counts as an eviction.
 //   - Reset is O(#stripes): a global epoch is bumped and entries from old
 //     epochs are treated as absent (counted stale when touched) and
-//     reclaimed lazily. SolveIDA resets between threshold iterations;
-//     fleet workers reset between solves and after non-exhausted slices.
+//     reclaimed lazily. SolveIDA resets between threshold iterations.
 //   - Recycling: Release keeps a table of at most DefaultBudget as the
 //     package's single spare and Acquire hands it out again instead of
 //     allocating. Release also moves the table's base epoch past every
@@ -47,15 +46,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// Entry is the exportable form of one table record, used for the fleet's
-// signature-digest exchange (see internal/dist).
-type Entry struct {
-	Lo    uint64
-	Hi    uint64
-	Depth int32
-	LB    int64
-}
 
 // slot is one stored state: 32 bytes, two per cache-line-sized bucket.
 type slot struct {
@@ -102,7 +92,6 @@ type Stats struct {
 	Stores    int64 // Store calls (including overwrites)
 	Evictions int64 // live entries displaced by replacement
 	Stale     int64 // old-epoch entries touched (counted once per touch)
-	Dropped   int64 // collected entries discarded because the digest buffer was full
 
 	Buckets    int   // bucket count (power of two)
 	Budget     int64 // configured byte budget
@@ -119,14 +108,6 @@ type Table struct {
 	epoch   uint32 // written under ALL stripe locks, read under any one
 	base    uint32 // entries older than base are never-used; same locking as epoch
 	stripes [numStripes]stripe
-
-	// digest collection (fleet mode): bounded buffer of recent stores.
-	// collectCap is atomic so the store fast path can skip the buffer
-	// lock entirely when collection is off.
-	collectCap     atomic.Int64
-	collectMu      sync.Mutex
-	collect        []Entry
-	collectDropped int64
 }
 
 // New builds a table holding the largest power-of-two bucket count whose
@@ -174,7 +155,7 @@ var spare atomic.Pointer[Table]
 
 // Acquire returns a table that is observationally identical to
 // New(budgetBytes) — same bucket count and budget, zero counters, no
-// visible entries, collection off — taking the spare when it has that
+// visible entries — taking the spare when it has that
 // bucket count. Hand it back with Release once no goroutine uses it any
 // more.
 func Acquire(budgetBytes int64) *Table {
@@ -251,7 +232,6 @@ func (t *Table) Store(lo, hi uint64, depth int32, lb int64) {
 	b := &t.buckets[idx]
 	st.stores++
 	entry := slot{lo: lo, hi: hi, lb: lb, depth: depth, epoch: t.epoch}
-	rec := Entry{Lo: lo, Hi: hi, Depth: depth, LB: lb}
 
 	// Refresh an existing record of the same state.
 	for i := range b {
@@ -289,28 +269,16 @@ func (t *Table) Store(lo, hi uint64, depth int32, lb int64) {
 		b[1] = entry
 	}
 	st.mu.Unlock()
-	t.collected(rec)
-}
-
-// StoreEntry is Store over the exported record form.
-func (t *Table) StoreEntry(e Entry) { t.Store(e.Lo, e.Hi, e.Depth, e.LB) }
-
-// Import bulk-loads entries (a digest received from a peer).
-func (t *Table) Import(entries []Entry) {
-	for _, e := range entries {
-		t.Store(e.Lo, e.Hi, e.Depth, e.LB)
-	}
 }
 
 // Reset invalidates every entry in O(#stripes) by bumping the epoch. Old
 // entries are reclaimed lazily as their slots are touched.
 func (t *Table) Reset() { t.reset(false) }
 
-// reset bumps the epoch under all stripe locks and empties the digest
-// buffer. A pristine reset also moves the base up to the new epoch, so the
-// old entries are not even counted stale, zeroes the counters and turns
-// collection off: the table is then indistinguishable from a New one
-// without its buckets being touched.
+// reset bumps the epoch under all stripe locks. A pristine reset also
+// moves the base up to the new epoch, so the old entries are not even
+// counted stale, and zeroes the counters: the table is then
+// indistinguishable from a New one without its buckets being touched.
 func (t *Table) reset(pristine bool) {
 	for i := range t.stripes {
 		t.stripes[i].mu.Lock()
@@ -331,50 +299,6 @@ func (t *Table) reset(pristine bool) {
 		}
 		t.stripes[i].mu.Unlock()
 	}
-	t.collectMu.Lock()
-	t.collect = t.collect[:0]
-	if pristine {
-		t.collectCap.Store(0)
-		t.collectDropped = 0
-	}
-	t.collectMu.Unlock()
-}
-
-// SetCollect turns on digest collection: up to cap of the next stores are
-// buffered for DrainCollected; beyond that they are counted as dropped.
-// cap 0 disables collection and clears the buffer.
-func (t *Table) SetCollect(capEntries int) {
-	t.collectMu.Lock()
-	t.collectCap.Store(int64(capEntries))
-	t.collect = t.collect[:0]
-	t.collectMu.Unlock()
-}
-
-// collected buffers a fresh store for the digest exchange when collection
-// is on. Refreshes of existing records are deliberately not re-collected.
-func (t *Table) collected(e Entry) {
-	if t.collectCap.Load() == 0 {
-		return
-	}
-	t.collectMu.Lock()
-	if max := int(t.collectCap.Load()); max > 0 {
-		if len(t.collect) < max {
-			t.collect = append(t.collect, e)
-		} else {
-			t.collectDropped++
-		}
-	}
-	t.collectMu.Unlock()
-}
-
-// DrainCollected appends the buffered stores to buf, clears the buffer,
-// and returns the result.
-func (t *Table) DrainCollected(buf []Entry) []Entry {
-	t.collectMu.Lock()
-	buf = append(buf, t.collect...)
-	t.collect = t.collect[:0]
-	t.collectMu.Unlock()
-	return buf
 }
 
 // Snapshot aggregates the per-stripe counters.
@@ -395,8 +319,5 @@ func (t *Table) Snapshot() Stats {
 		out.BytesInUse += st.live * slotBytes
 		st.mu.Unlock()
 	}
-	t.collectMu.Lock()
-	out.Dropped = t.collectDropped
-	t.collectMu.Unlock()
 	return out
 }

@@ -101,35 +101,10 @@ func TestResetInvalidatesAndCountsStale(t *testing.T) {
 	}
 }
 
-func TestCollectionDrainAndDrop(t *testing.T) {
-	tb := New(MinBudget)
-	tb.SetCollect(2)
-	tb.Store(1, 0, 1, 1)
-	tb.Store(2, 0, 1, 1)
-	tb.Store(3, 0, 1, 1) // over cap → dropped
-	tb.Store(1, 0, 1, 1) // refresh → not re-collected
-	got := tb.DrainCollected(nil)
-	if len(got) != 2 || got[0].Lo != 1 || got[1].Lo != 2 {
-		t.Fatalf("drained %v", got)
-	}
-	if s := tb.Snapshot(); s.Dropped != 1 {
-		t.Fatalf("dropped = %d, want 1", s.Dropped)
-	}
-	if again := tb.DrainCollected(nil); len(again) != 0 {
-		t.Fatalf("second drain returned %v", again)
-	}
-	tb2 := New(MinBudget)
-	tb2.Import(got)
-	if !tb2.Probe(1, 0, 1, 1) || !tb2.Probe(2, 0, 1, 1) {
-		t.Fatal("import lost entries")
-	}
-}
-
 // TestConcurrentMixedUse hammers the table from many goroutines (run under
 // -race by the standard test invocation of scripts/check.sh).
 func TestConcurrentMixedUse(t *testing.T) {
 	tb := New(1 << 16)
-	tb.SetCollect(256)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -143,8 +118,6 @@ func TestConcurrentMixedUse(t *testing.T) {
 					tb.Reset()
 				case 1:
 					tb.Snapshot()
-				case 2:
-					tb.DrainCollected(nil)
 				default:
 					tb.Store(lo, hi, int32(i%30), int64(i))
 					tb.Probe(lo, hi, int32(i%30), int64(i))

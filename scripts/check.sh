@@ -7,7 +7,7 @@
 #   check.sh dist    race tests of the distributed fabric and its multi-process e2e: SIGKILL'd workers recovered by lease eviction, a SIGKILL'd coordinator resumed byte-identically from its journal
 #   check.sh grid    race tests of the grid tier (ring balance, WFQ fairness, fill claims), the kill-mid-load multi-replica e2e, peered bbserved processes, bbload, and the serving figures
 #   check.sh hetero  race tests of partitioned search, its EDF dispatch, release plans and the scenario-matrix server tests; bbfuzz against brute-force oracles on random speed/affinity platforms
-#   check.sh vet     the CI contract: gofmt, strict-baseline bbvet (stale entries, wireschema drift), bbperf vet and bench.sh --quick (API breaks, wrong answers), 10 s fuzz runs (canonicalizer, decoders, journal loader), race/bbdebug tests
+#   check.sh vet     the CI contract: gofmt, strict-baseline bbvet (stale entries, wireschema drift), bbperf vet and bench.sh --quick (API breaks, wrong answers), 10 s fuzz runs (canonicalizer, decoders, journal loader, dist wire), race/bbdebug tests
 
 set -eu
 
@@ -76,10 +76,15 @@ vet)
 
     run env GOWORK=off go -C cmd/bbperf vet ./...
     run bash cmd/bbperf/bench.sh --quick
-    run go test -run '^$' -fuzz '^FuzzCanonical$' -fuzztime 10s ./internal/taskgraph
+    # The fuzzer minimizes every input that finds new coverage, for 60 s by
+    # default. FuzzCanonical and FuzzWire find such inputs often enough that
+    # minimizing them ate the whole 10 s (FuzzCanonical read 0 execs/sec
+    # from 3 s on); a 1 s cap keeps both executing throughout.
+    run go test -run '^$' -fuzz '^FuzzCanonical$' -fuzztime 10s -fuzzminimizetime 1s ./internal/taskgraph
     run go test -run '^$' -fuzz '^FuzzGraphJSON$' -fuzztime 10s ./internal/taskgraph
     run go test -run '^$' -fuzz '^FuzzSolveRequest$' -fuzztime 10s ./internal/server
     run go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s ./internal/journal
+    run go test -run '^$' -fuzz '^FuzzWire$' -fuzztime 10s -fuzzminimizetime 1s ./internal/dist
     run go test -race ./internal/dist ./internal/server ./internal/check ./cmd/bbexp
     bbdebug ./internal/sched ./internal/core
     ;;
