@@ -23,10 +23,6 @@
 //	-distributed     mark solve requests distributed and spawn a worker fleet
 //	-dist-workers    re-exec'd worker processes with -distributed (default 2)
 //	-churn dur       with -distributed: drain and replace one worker at this interval
-//	-dedup           solve requests request duplicate detection; after the run
-//	                 the harness asserts every replica's /metrics transpose
-//	                 high-water stayed within the table budget
-//	-dedup-budget b  per-table byte budget for -dedup (0 = server default)
 //	-hetero          mixed-scenario mode: solve requests cycle legacy
 //	                 homogeneous, heterogeneous (speed factors + affinity
 //	                 masks), and partitioned-mode scenarios
@@ -61,12 +57,6 @@
 // and a fresh worker is spawned in its place, so the run exercises the
 // coordinator's join/drain autoscaling path under load.
 //
-// With -dedup every solve request turns on the transposition table, and
-// the run ends with a memory assertion: each replica's /metrics transpose
-// block must report table_bytes_high_water within table_budget. A server
-// whose tables outgrew their hard budget under sustained load fails the
-// run even if every request succeeded.
-//
 // With -hetero the replay pool becomes the scenario matrix: instance i
 // is a legacy homogeneous solve (i%3 == 0), a heterogeneous global solve
 // with per-processor speed factors and restricted affinity masks
@@ -74,8 +64,7 @@
 // platform (i%3 == 2). All three hit distinct cache lines, so the run
 // exercises platform canonicalization and both solve modes side by
 // side. -hetero supports only -endpoint solve, without -distributed
-// (heterogeneous platforms cannot be distributed) and without -dedup
-// (partitioned mode rejects the knob).
+// (heterogeneous platforms cannot be distributed).
 //
 // Exit status: 0 when every request succeeded (2xx), 1 otherwise.
 package main
@@ -140,8 +129,6 @@ func main() {
 		distributed = flag.Bool("distributed", false, "mark solve requests distributed and spawn a worker fleet")
 		distWorkers = flag.Int("dist-workers", 2, "worker processes to spawn with -distributed")
 		churn       = flag.Duration("churn", 0, "with -distributed: drain and replace one worker at this interval")
-		dedup       = flag.Bool("dedup", false, "request duplicate detection on solves and assert the table budget via /metrics")
-		dedupBudget = flag.Int64("dedup-budget", 0, "per-table byte budget for -dedup (0 = server default)")
 		hetero      = flag.Bool("hetero", false, "mixed-scenario mode: cycle legacy, heterogeneous, and partitioned solves")
 		quiet       = flag.Bool("quiet", false, "suppress the per-run header")
 	)
@@ -162,16 +149,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bbload: -churn requires -distributed with -dist-workers >= 1")
 		os.Exit(2)
 	}
-	if *dedup && *endpoint != "solve" && *endpoint != "mix" {
-		fmt.Fprintln(os.Stderr, "bbload: -dedup applies only to -endpoint solve or mix")
-		os.Exit(2)
-	}
-	if *dedupBudget != 0 && !*dedup {
-		fmt.Fprintln(os.Stderr, "bbload: -dedup-budget requires -dedup")
-		os.Exit(2)
-	}
-	if *hetero && (*endpoint != "solve" || *distributed || *dedup) {
-		fmt.Fprintln(os.Stderr, "bbload: -hetero supports only -endpoint solve, without -distributed or -dedup")
+	if *hetero && (*endpoint != "solve" || *distributed) {
+		fmt.Fprintln(os.Stderr, "bbload: -hetero supports only -endpoint solve, without -distributed")
 		os.Exit(2)
 	}
 	if *hetero && (*procs < 2 || *procs > 64) {
@@ -194,7 +173,7 @@ func main() {
 		tenants[i] = t.Name
 	}
 
-	reqs, err := buildRequests(*endpoint, *graphs, *procs, budget.Milliseconds(), *seed, *distributed, *dedup, *dedupBudget, *hetero)
+	reqs, err := buildRequests(*endpoint, *graphs, *procs, budget.Milliseconds(), *seed, *distributed, *hetero)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bbload: %v\n", err)
 		os.Exit(2)
@@ -240,57 +219,9 @@ func main() {
 		fleet.stop()
 	}
 	rep.print(os.Stdout)
-	failed := rep.failed()
-	if *dedup && !assertDedupBudget(urls, *quiet) {
-		failed = true
-	}
-	if failed {
+	if rep.failed() {
 		os.Exit(1)
 	}
-}
-
-// assertDedupBudget reads every replica's /metrics transpose block after a
-// -dedup run and checks the memory bound: the high-water bytes-in-use of
-// any table must stay within the configured hard budget. Returns false
-// (failing the run) on a violation, an unreachable replica, or a replica
-// that never ran a dedup solve.
-func assertDedupBudget(urls []string, quiet bool) bool {
-	client := &http.Client{Timeout: 5 * time.Second}
-	ok := true
-	for _, u := range urls {
-		resp, err := client.Get(u + "/metrics")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bbload: dedup assertion: %s: %v\n", u, err)
-			ok = false
-			continue
-		}
-		var ms server.MetricsSnapshot
-		err = json.NewDecoder(resp.Body).Decode(&ms)
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bbload: dedup assertion: %s: decode /metrics: %v\n", u, err)
-			ok = false
-			continue
-		}
-		tp := ms.Transpose
-		if tp == nil || tp.Solves == 0 {
-			fmt.Fprintf(os.Stderr, "bbload: dedup assertion: %s: no dedup solves recorded in /metrics\n", u)
-			ok = false
-			continue
-		}
-		if tp.BytesHighWater > tp.TableBudget {
-			fmt.Fprintf(os.Stderr, "bbload: dedup assertion FAILED: %s: table high-water %d bytes > budget %d\n",
-				u, tp.BytesHighWater, tp.TableBudget)
-			ok = false
-			continue
-		}
-		if !quiet {
-			fmt.Printf("bbload: dedup assertion: %s: %d dedup solves, %d pruned, table high-water %d/%d bytes\n",
-				u, tp.Solves, tp.DedupPruned, tp.BytesHighWater, tp.TableBudget)
-		}
-	}
-	return ok
 }
 
 // workerFleet manages the re-exec'd worker processes of a -distributed
@@ -420,7 +351,7 @@ type request struct {
 // buildRequests prepares the replay pool: one request per generated
 // instance (cycling endpoints when endpoint is "mix", and scenario cells
 // when hetero is set).
-func buildRequests(endpoint string, graphs, procs int, budgetMS int64, seed int64, distributed, dedup bool, dedupBudget int64, hetero bool) ([]request, error) {
+func buildRequests(endpoint string, graphs, procs int, budgetMS int64, seed int64, distributed, hetero bool) ([]request, error) {
 	endpoints := []string{endpoint}
 	if endpoint == "mix" {
 		endpoints = []string{"solve", "anytime", "list", "analyze", "recover"}
@@ -462,10 +393,7 @@ func buildRequests(endpoint string, graphs, procs int, budgetMS int64, seed int6
 		)
 		switch ep {
 		case "solve":
-			payload = server.SolveRequest{
-				GraphRequest: gr, BudgetMS: budgetMS, Distributed: distributed,
-				Dedup: dedup, DedupBudget: dedupBudget, Mode: mode,
-			}
+			payload = server.SolveRequest{GraphRequest: gr, BudgetMS: budgetMS, Distributed: distributed, Mode: mode}
 		case "anytime":
 			payload = server.AnytimeRequest{GraphRequest: gr, BudgetMS: budgetMS, Seed: seed}
 		case "list":

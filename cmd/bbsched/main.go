@@ -59,8 +59,7 @@ func main() {
 		doSim    = flag.Bool("simulate", false, "run the discrete-event platform simulator")
 		traceDot = flag.String("tracedot", "", "write the explored search tree as DOT")
 		ida      = flag.Bool("ida", false, "use cost-bounded iterative deepening (O(n) memory)")
-		dedup    = flag.Bool("dedup", false, "prune duplicate partial schedules via a transposition table")
-		dedupMiB = flag.Int64("dedup-budget", 0, "transposition table budget in MiB (0 = default, needs -dedup)")
+		dedup    = flag.Bool("dedup", false, "prune duplicate partial schedules via a 64 MiB transposition table (sequential solves only)")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -86,10 +85,9 @@ func main() {
 		fmt.Printf("EDF: Lmax=%d makespan=%d steps=%d\n", res.Lmax, schedule.Makespan(), res.Steps)
 	} else {
 		params := core.Params{
-			BR:          *brLimit,
-			Resources:   core.ResourceBounds{TimeLimit: *timeout},
-			Dedup:       *dedup,
-			DedupBudget: *dedupMiB << 20,
+			BR:        *brLimit,
+			Resources: core.ResourceBounds{TimeLimit: *timeout},
+			Dedup:     *dedup,
 		}
 		if err := params.ParseRules(*selFlag, *brFlag, *lbFlag); err != nil {
 			fatal(err)
@@ -125,9 +123,8 @@ func main() {
 			res.Stats.Generated, res.Stats.Expanded, res.Stats.Goals,
 			res.Stats.PrunedChildren, res.Stats.MaxActiveSet)
 		if *dedup {
-			fmt.Printf("  dedup: pruned=%d hits=%d evictions=%d tableBytes=%d/%d\n",
-				res.Stats.DedupPruned, res.Stats.TableHits, res.Stats.TableEvictions,
-				res.Stats.TableBytesInUse, res.Stats.TableBudget)
+			fmt.Printf("  dedup: pruned=%d hits=%d tableBytes=%d\n",
+				res.Stats.DedupPruned, res.Stats.TableHits, res.Stats.TableBytesInUse)
 		}
 		fmt.Printf("  elapsed=%v timedOut=%v\n", res.Stats.Elapsed.Round(time.Microsecond), res.Stats.TimedOut)
 	}

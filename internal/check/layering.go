@@ -41,10 +41,10 @@ var layerAllowed = map[string][]string{
 	// so it sits at the bottom.
 	// internal/peer is the shared JSON/HTTP + membership substrate of the
 	// replicated subsystems (dist, grid) — stdlib only, policy-free.
-	// internal/transpose is the sharded, memory-bounded transposition
-	// table behind duplicate detection — pure data structure (stdlib
-	// sync only), keyed by opaque 128-bit signatures, so it sits at the
-	// bottom beneath the search layers that probe it.
+	// internal/transpose is the memory-bounded transposition table
+	// behind duplicate detection — pure data structure (stdlib
+	// sync/atomic only), keyed by opaque 128-bit signatures, so it sits
+	// at the bottom beneath the one search layer that probes it.
 	// internal/jsonread is the one-pass JSON reader the taskgraph codec and
 	// the server's request decoders are built on — stdlib only, it knows
 	// no wire type, so it sits beneath the task model itself.
@@ -96,7 +96,7 @@ var layerAllowed = map[string][]string{
 	// on the wire.
 	"internal/dist": {
 		"internal/core", "internal/journal", "internal/peer", "internal/platform",
-		"internal/sched", "internal/taskgraph", "internal/transpose",
+		"internal/sched", "internal/taskgraph",
 	},
 
 	// internal/grid is the multi-tenant serving fabric: consistent-hash

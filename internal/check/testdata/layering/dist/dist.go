@@ -1,7 +1,8 @@
 // Package dist impersonates repro/internal/dist so the fixture can pin
 // the distributed fabric's position in the DAG: it may build on the
 // engine and substrate, but must never reach into the experiment drivers
-// or the serving daemon — subproblems on the wire stay pure.
+// or the serving daemon — subproblems on the wire stay pure — nor into
+// the transposition table, which the fleet does not run.
 package dist
 
 import (
@@ -11,4 +12,5 @@ import (
 	_ "repro/internal/sched"     // allowed: substrate
 	_ "repro/internal/server"    // want "internal/server may only be imported by cmd binaries"
 	_ "repro/internal/taskgraph" // allowed: foundation
+	_ "repro/internal/transpose" // want "layering violation: internal/dist may not import internal/transpose"
 )

@@ -1,9 +1,8 @@
 // Package transpose impersonates repro/internal/transpose so the fixture
 // can pin the transposition table at the bottom of the DAG: it is a pure
-// sharded data structure keyed by opaque 128-bit signatures, so it may
-// import nothing module-internal — not even the foundation. The search
-// layers (core, dist) probe it; it must never know what it stores keys
-// for.
+// data structure keyed by opaque 128-bit signatures, so it may import
+// nothing module-internal — not even the foundation. The search kernel
+// (core) probes it; it must never know what it stores keys for.
 package transpose
 
 import (

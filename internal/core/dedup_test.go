@@ -95,7 +95,8 @@ func TestDedupIdenticalCostAcrossRules(t *testing.T) {
 
 // TestDedupPrunesOnWideInstance pins down that the machinery actually fires:
 // a wide instance on m=3 must record duplicate prunes and a searched-vertex
-// reduction, and the table gauges must be populated and within budget.
+// reduction, and the table gauges must be populated and within the fixed
+// table size.
 func TestDedupPrunesOnWideInstance(t *testing.T) {
 	g := wideWorkloads(t, 1, 14, 7)[0]
 	plat := platform.New(3)
@@ -110,13 +111,13 @@ func TestDedupPrunesOnWideInstance(t *testing.T) {
 	if on.Stats.Expanded >= off.Stats.Expanded {
 		t.Errorf("dedup expanded %d >= plain %d", on.Stats.Expanded, off.Stats.Expanded)
 	}
-	if on.Stats.TableBudget == 0 || on.Stats.TableBytesInUse == 0 {
+	if on.Stats.TableHits == 0 || on.Stats.TableBytesInUse == 0 {
 		t.Errorf("table gauges not populated: %+v", on.Stats)
 	}
-	if on.Stats.TableBytesInUse > on.Stats.TableBudget {
-		t.Errorf("table over budget: %d > %d", on.Stats.TableBytesInUse, on.Stats.TableBudget)
+	if on.Stats.TableBytesInUse > transpose.DefaultBudget {
+		t.Errorf("table over budget: %d > %d", on.Stats.TableBytesInUse, transpose.DefaultBudget)
 	}
-	if off.Stats.DedupPruned != 0 || off.Stats.TableBudget != 0 {
+	if off.Stats.DedupPruned != 0 || off.Stats.TableHits != 0 || off.Stats.TableBytesInUse != 0 {
 		t.Errorf("plain run leaked dedup stats: %+v", off.Stats)
 	}
 }
@@ -141,77 +142,22 @@ func TestDedupObserverSeesDuplicates(t *testing.T) {
 	}
 }
 
-// TestDedupParallelAndIDAMatchSequential: the concurrent shared-table path
-// and the per-iteration-reset IDA path must both land on the plain
-// sequential optimum.
-func TestDedupParallelAndIDAMatchSequential(t *testing.T) {
-	count, n, _ := dedupSuiteScale()
-	graphs := wideWorkloads(t, count, n, 23)
-	for gi, g := range graphs {
-		plat := platform.New(3)
-		want := mustSolve(t, g, plat, Params{}).Cost
-
-		par, err := SolveParallel(g, plat, ParallelParams{
-			Params: Params{Dedup: true}, Workers: 4,
-		})
-		if err != nil {
-			t.Fatalf("graph %d: parallel: %v", gi, err)
-		}
-		if par.Cost != want {
-			t.Fatalf("graph %d: parallel dedup cost %d != %d", gi, par.Cost, want)
-		}
-		if !par.Optimal {
-			t.Errorf("graph %d: parallel dedup not optimal", gi)
-		}
-
-		ida, err := SolveIDA(g, plat, Params{Dedup: true})
-		if err != nil {
-			t.Fatalf("graph %d: IDA: %v", gi, err)
-		}
-		if ida.Cost != want {
-			t.Fatalf("graph %d: IDA dedup cost %d != %d", gi, ida.Cost, want)
-		}
-		if !ida.Optimal {
-			t.Errorf("graph %d: IDA dedup not optimal", gi)
-		}
-	}
-}
-
-// TestDedupTinyBudgetStaysCorrect: a table at the minimum size thrashes with
-// evictions yet must never change the answer (a miss only costs re-search).
-func TestDedupTinyBudgetStaysCorrect(t *testing.T) {
-	n := 13
-	if heavyBuild {
-		n = 11
-	}
-	g := wideWorkloads(t, 1, n, 41)[0]
-	plat := platform.New(3)
-	want := mustSolve(t, g, plat, Params{}).Cost
-	res := mustSolve(t, g, plat, Params{Dedup: true, DedupBudget: transpose.MinBudget})
-	if res.Cost != want {
-		t.Fatalf("tiny-budget cost %d != %d", res.Cost, want)
-	}
-	if res.Stats.TableBytesInUse > res.Stats.TableBudget {
-		t.Errorf("tiny table over budget: %d > %d",
-			res.Stats.TableBytesInUse, res.Stats.TableBudget)
-	}
-}
-
-// TestDedupValidation covers the parameter-combination rejections.
+// TestDedupValidation covers the drivers that reject Dedup: the knob is
+// Solve's alone, and the error points at DuplicateFree, which removes the
+// same duplicates without a table.
 func TestDedupValidation(t *testing.T) {
 	g := wideWorkloads(t, 1, 10, 47)[0]
 	plat := platform.New(2)
-	cases := []struct {
-		name string
-		p    Params
-		want string
+	p := Params{Dedup: true}
+	for _, c := range []struct {
+		name  string
+		solve func() (Result, error)
 	}{
-		{"negative budget", Params{Dedup: true, DedupBudget: -1}, "negative dedup budget"},
-		{"budget without dedup", Params{DedupBudget: 1 << 20}, "without Dedup"},
-	}
-	for _, c := range cases {
-		if _, err := Solve(g, plat, c.p); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: got %v, want %q", c.name, err, c.want)
+		{"SolveParallel", func() (Result, error) { return SolveParallel(g, plat, ParallelParams{Params: p, Workers: 2}) }},
+		{"SolveIDA", func() (Result, error) { return SolveIDA(g, plat, p) }},
+	} {
+		if _, err := c.solve(); err == nil || !strings.Contains(err.Error(), "DuplicateFree") {
+			t.Errorf("%s with Dedup: got %v, want an error naming DuplicateFree", c.name, err)
 		}
 	}
 }

@@ -229,6 +229,55 @@ func TestDuplicateFreeDriversAgree(t *testing.T) {
 	}
 }
 
+// TestDedupRedundantUnderDuplicateFree: with duplicate-free generation on,
+// each partial schedule has one path in the tree up to processor
+// relabeling, so the transposition table finds nothing to prune. Adding
+// Dedup leaves the outcome and the search size identical and prunes
+// nothing, for LIFO and LLB under every branching rule, on the §4.1
+// graphs at m=2 and m=3, on wide graphs, and on a platform with speed
+// factors and affinities whose two classes hold two processors each.
+func TestDedupRedundantUnderDuplicateFree(t *testing.T) {
+	papers, wides, wideN := 12, 4, 12
+	if heavyBuild {
+		papers, wides, wideN = 1, 1, 9
+	}
+	type instance struct {
+		name string
+		g    *taskgraph.Graph
+		plat platform.Platform
+	}
+	var insts []instance
+	for gi, g := range paperWorkloads(t, papers, 2701) {
+		hetero := platform.Platform{M: 4, CommDelay: 1, Speed: []float64{1, 1, 2, 2}, Affinity: make([]uint64, g.NumTasks())}
+		for i := range hetero.Affinity {
+			hetero.Affinity[i] = []uint64{0b1111, 0b0011, 0b1100}[i%3]
+		}
+		insts = append(insts,
+			instance{fmt.Sprintf("paper %d m=2", gi), g, platform.New(2)},
+			instance{fmt.Sprintf("paper %d m=3", gi), g, platform.New(3)},
+			instance{fmt.Sprintf("paper %d hetero", gi), g, hetero})
+	}
+	for gi, g := range wideWorkloads(t, wides, wideN, 2702) {
+		insts = append(insts, instance{fmt.Sprintf("wide %d m=3", gi), g, platform.New(3)})
+	}
+	for _, in := range insts {
+		for _, sel := range []SelectionRule{SelectLIFO, SelectLLB} {
+			for _, br := range []BranchingRule{BranchBFn, BranchDF, BranchBF1} {
+				p := Params{Selection: sel, Branching: br, DuplicateFree: true}
+				free := mustSolve(t, in.g, in.plat, p)
+				p.Dedup = true
+				both := mustSolve(t, in.g, in.plat, p)
+				if !sameOutcome(both, free) || both.Stats.Generated != free.Stats.Generated ||
+					both.Stats.Expanded != free.Stats.Expanded || both.Stats.DedupPruned != 0 {
+					t.Errorf("%s %v %v: with Dedup cost=%d optimal=%v guarantee=%v generated=%d expanded=%d pruned=%d, without cost=%d optimal=%v guarantee=%v generated=%d expanded=%d",
+						in.name, sel, br, both.Cost, both.Optimal, both.Guarantee, both.Stats.Generated, both.Stats.Expanded, both.Stats.DedupPruned,
+						free.Cost, free.Optimal, free.Guarantee, free.Stats.Generated, free.Stats.Expanded)
+				}
+			}
+		}
+	}
+}
+
 // TestDuplicateFreeRejections: the combination without a soundness
 // argument fails loudly.
 func TestDuplicateFreeRejections(t *testing.T) {

@@ -83,7 +83,7 @@ func EnumerateFrontier(g *taskgraph.Graph, plat platform.Platform, p Params, tar
 
 	// The expansion keeps no transposition table, even under Dedup: the
 	// searches of the slices do.
-	e := newExpander(g, plat, p, nil)
+	e := newExpander(g, plat, p)
 	e.pol = &inc
 	queue := []*vertex{{lb: taskgraph.MinTime, task: taskgraph.NoTask, proc: platform.NoProc}}
 	var kids []child

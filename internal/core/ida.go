@@ -32,14 +32,17 @@ import (
 // The embedded rules keep their meaning where they apply: B (branching),
 // L (bound), ChildOrder (dive order), BR, U, and RB.TimeLimit. The
 // selection rule is ignored (the probe IS the selection discipline);
-// MAXSZAS/MAXSZDB and the domination rule are rejected (there is no active
-// set to bound, and the dominance table would defeat the O(n) memory
-// guarantee).
+// MAXSZAS/MAXSZDB, the domination rule and Dedup are rejected (there is no
+// active set to bound, and a dominance or transposition table would defeat
+// the O(n) memory guarantee; DuplicateFree removes Dedup's duplicates
+// without one).
 func SolveIDA(g *taskgraph.Graph, plat platform.Platform, p Params) (Result, error) {
 	inc, err := prepare(g, plat, p, func() error {
 		switch {
 		case p.Dominance:
 			return fmt.Errorf("core: dominance rule is not supported by iterative deepening")
+		case p.Dedup:
+			return fmt.Errorf("core: iterative deepening does not support Dedup; use DuplicateFree")
 		case p.Resources.MaxActiveSet != 0 || p.Resources.MaxChildren != 0:
 			return fmt.Errorf("core: MAXSZAS/MAXSZDB are not supported by iterative deepening")
 		case p.Observer != nil:
@@ -53,11 +56,7 @@ func SolveIDA(g *taskgraph.Graph, plat platform.Platform, p Params) (Result, err
 		return Result{}, err
 	}
 
-	// Dedup trades the headline O(n) memory guarantee for a memory-BOUNDED
-	// table: duplicates are pruned within one threshold iteration. The
-	// table resets between iterations — every state must be re-expandable
-	// under the next, looser threshold.
-	s := &idaSolver{expander: newExpander(g, plat, p, dedupTable(p)), inc: inc}
+	s := &idaSolver{expander: newExpander(g, plat, p), inc: inc}
 	s.pol = &s.inc
 
 	start := time.Now() //bbvet:ignore nondet (wall-clock only feeds Stats.Elapsed and the deadline)
@@ -65,8 +64,6 @@ func SolveIDA(g *taskgraph.Graph, plat platform.Platform, p Params) (Result, err
 		s.deadline = start.Add(p.Resources.TimeLimit)
 	}
 	s.run()
-	fillTableStats(&s.stats, s.tt)
-	releaseTable(s.tt, false)
 	s.stats.Elapsed = time.Since(start) //bbvet:ignore nondet (reporting only)
 	s.stats.MaxActiveSet = g.NumTasks() // the recursion stack is the whole memory story
 	reason := TermExhausted
@@ -93,12 +90,6 @@ func (s *idaSolver) run() {
 	for {
 		if s.threshold >= s.inc.limit() {
 			return // the incumbent is within allowance of every completion
-		}
-		if s.tt != nil {
-			// Entries are only valid within one threshold iteration: a
-			// state pruned as a duplicate last iteration must be
-			// re-expandable now that the threshold grew.
-			s.tt.Reset()
 		}
 		s.nextThr = taskgraph.Infinity
 		s.stats.Expanded++ // the root probe

@@ -164,7 +164,7 @@ type expander struct {
 	bnd *bounder
 	br  *brancher
 	dom *domTable        // domination rule D (Params.Dominance); nil when off
-	tt  *transpose.Table // duplicate detection (Params.Dedup); nil when off
+	tt  *transpose.Table // duplicate detection (Params.Dedup, Solve only); nil when off
 
 	dup dupFree // duplicate-free generation (Params.DuplicateFree); zero when off
 
@@ -187,15 +187,14 @@ type expander struct {
 // maxTime is above every bound, so nothing is ever deferred against it.
 const maxTime = taskgraph.Time(1<<63 - 1)
 
-// newExpander builds the kernel for one searcher. tt is the transposition
-// table to probe and store (nil for none).
-func newExpander(g *taskgraph.Graph, plat platform.Platform, p Params, tt *transpose.Table) expander {
+// newExpander builds the kernel for one searcher, without a
+// transposition table: Solve installs one under Params.Dedup.
+func newExpander(g *taskgraph.Graph, plat platform.Platform, p Params) expander {
 	e := expander{
 		plat: plat, p: p, n: int32(g.NumTasks()),
 		st:        sched.NewState(g, plat),
 		bnd:       newBounder(g, p.Bound),
 		br:        newBrancher(g, p.Branching),
-		tt:        tt,
 		threshold: maxTime,
 	}
 	if p.Dominance {
@@ -203,9 +202,6 @@ func newExpander(g *taskgraph.Graph, plat platform.Platform, p Params, tt *trans
 	}
 	if p.DuplicateFree {
 		e.dup = newDupFree(plat, p.Branching)
-	}
-	if tt != nil {
-		e.st.EnableSignature()
 	}
 	return e
 }
@@ -242,10 +238,7 @@ func (e *expander) expand(v *vertex) {
 	// Store on expansion: from here on, this state's subtree is fully
 	// accounted for (explored, pruned against the incumbent allowance, or —
 	// with resource drops — flagged lossy), so any later arrival at the same
-	// canonical state is redundant. Under SolveParallel a concurrent
-	// duplicate pruned against this entry relies on this worker's dive —
-	// and everything it donates — being fully processed, which termination
-	// guarantees whenever the run ends TermExhausted.
+	// canonical state is redundant.
 	e.store(v.level, v.lb)
 	var parent uint64
 	if v.parent != nil {
@@ -356,9 +349,7 @@ func (e *expander) generate(parent uint64, kids []child) []child {
 				e.stats.PrunedChildren++
 				kind = EventPrune
 			case lb > e.threshold:
-				// Deferred to the next IDA iteration. Never dedup-pruned:
-				// the nextThr bookkeeping must see exactly what the
-				// reference search would defer.
+				// Deferred to the next IDA iteration.
 				e.stats.PrunedChildren++
 				kind = EventPrune
 				if lb < e.nextThr {

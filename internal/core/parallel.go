@@ -12,15 +12,15 @@ import (
 	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
-	"repro/internal/transpose"
 )
 
 // ParallelParams configures SolveParallel. The embedded Params keep their
-// meaning with three restrictions, each rejected with an error: the
+// meaning with four restrictions, each rejected with an error: the
 // selection rule is fixed (every worker runs a LIFO dive over its own
-// stack), the domination rule is unsupported (a shared table would
-// serialize the workers), and the MAXSZAS/MAXSZDB resource bounds are
-// unsupported (their drop-the-worst semantics are inherently global).
+// stack), the domination rule and Dedup are unsupported (a shared table
+// would serialize the workers; DuplicateFree removes Dedup's duplicates
+// without one), and the MAXSZAS/MAXSZDB resource bounds are unsupported
+// (their drop-the-worst semantics are inherently global).
 type ParallelParams struct {
 	Params
 
@@ -68,6 +68,8 @@ func SolveParallelContext(ctx context.Context, g *taskgraph.Graph, plat platform
 		switch {
 		case p.Dominance:
 			return fmt.Errorf("core: dominance rule is not supported by the parallel solver")
+		case p.Dedup:
+			return fmt.Errorf("core: the parallel solver does not support Dedup; use DuplicateFree")
 		case p.Resources.MaxActiveSet != 0 || p.Resources.MaxChildren != 0:
 			return fmt.Errorf("core: MAXSZAS/MAXSZDB are not supported by the parallel solver")
 		case p.Prefix != nil || p.Link != nil:
@@ -89,13 +91,6 @@ func SolveParallelContext(ctx context.Context, g *taskgraph.Graph, plat platform
 
 	ps := &parSolver{g: g, plat: plat, p: p, ctx: ctx, workers: workers, inc: inc}
 	ps.incCost.Store(int64(inc.cost))
-	if p.Dedup {
-		// One table shared by every worker: the striped locks keep probe
-		// and store contention per-bucket, and a duplicate pruned by any
-		// worker cites a state some worker has already committed to
-		// exploring fully.
-		ps.tt = dedupTable(p)
-	}
 
 	start := time.Now() //bbvet:ignore nondet (wall-clock only feeds Stats.Elapsed and the deadline)
 	if p.Resources.TimeLimit > 0 {
@@ -107,8 +102,6 @@ func SolveParallelContext(ctx context.Context, g *taskgraph.Graph, plat platform
 		stats.add(w.stats)
 	}
 	stats.MaxActiveSet += ps.poolHigh
-	fillTableStats(&stats, ps.tt)
-	releaseTable(ps.tt, err != nil)
 	stats.Elapsed = time.Since(start) //bbvet:ignore nondet (reporting only)
 	stats.TimedOut = ps.timedOut.Load()
 
@@ -146,8 +139,6 @@ type parSolver struct {
 	incCost atomic.Int64
 	incMu   sync.Mutex
 	inc     incumbent // seq and seed, guarded by incMu; incCost holds the cost
-
-	tt *transpose.Table // shared duplicate-detection table; nil when off
 
 	pool     []*vertex
 	poolHigh int // pool high-water mark, the seeding frontier included
@@ -240,7 +231,7 @@ type parWorker struct {
 // generate 2^48 vertices to collide. The worker is registered in ps.ws so
 // its Stats are summed after the join.
 func newParWorker(ps *parSolver, idx int) *parWorker {
-	w := &parWorker{expander: newExpander(ps.g, ps.plat, ps.p, ps.tt), ps: ps}
+	w := &parWorker{expander: newExpander(ps.g, ps.plat, ps.p), ps: ps}
 	w.seq = uint64(idx) << 48
 	w.pol = w
 	ps.ws = append(ps.ws, w)

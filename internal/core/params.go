@@ -328,27 +328,24 @@ type Params struct {
 	// it is provided as an extension and defaults off.
 	Dominance bool
 
-	// Dedup enables duplicate detection: the search maintains an
-	// incremental 128-bit canonical signature of the partial schedule
-	// (processor-permutation-invariant; see internal/sched) and a
-	// memory-bounded transposition table (internal/transpose). Every
-	// expanded vertex stores its signature; a generated child whose
-	// signature, depth, and an equal-or-better stored bound match a table
-	// entry is pruned as a duplicate (Stats.DedupPruned, EventDuplicate).
-	// The search tree the paper describes re-expands states once per
-	// arrival order, so wide instances see order-of-magnitude
-	// searched-vertex reductions with an identical final cost. Off (the
-	// default) the kernel is event-identical to a run without the knob.
+	// Dedup enables duplicate detection in Solve and SolveContext: the
+	// search maintains an incremental 128-bit canonical signature of the
+	// partial schedule (processor-permutation-invariant; see
+	// internal/sched) and a private transposition table of
+	// transpose.DefaultBudget (64 MiB; internal/transpose). Every expanded
+	// vertex stores its signature; a generated child whose signature,
+	// depth, and an equal-or-better stored bound match a table entry is
+	// pruned as a duplicate (Stats.DedupPruned, EventDuplicate). The search
+	// tree the paper describes re-expands states once per arrival order,
+	// so wide instances see order-of-magnitude searched-vertex reductions
+	// with an identical final cost. A finished run hands its table back
+	// (transpose.Release) and the next run reuses it, so one table stays
+	// allocated while the process is idle. Off (the default) the kernel is
+	// event-identical to a run without the knob. SolveParallel and
+	// SolveIDA reject it: DuplicateFree removes the same duplicates
+	// without a table. EnumerateFrontier ignores it; the slice solves
+	// take it.
 	Dedup bool
-
-	// DedupBudget caps the transposition table's memory in bytes; 0 picks
-	// transpose.DefaultBudget (64 MiB). The table never allocates past the
-	// budget: beyond it, replacement (depth-preferred) evicts. The private
-	// table is retained between solves: a finished run hands it back
-	// (transpose.Release) and the next run of the same bucket count reuses
-	// it pristine, so one table of at most transpose.DefaultBudget stays
-	// allocated while the process is idle. Larger tables are not retained.
-	DedupBudget int64
 
 	// DuplicateFree generates each partial schedule once instead of once
 	// per relabeling of the empty processors and once per interleaving of
@@ -450,12 +447,6 @@ func (p Params) Validate() error {
 	}
 	if p.Resources.TimeLimit < 0 || p.Resources.MaxActiveSet < 0 || p.Resources.MaxChildren < 0 {
 		return fmt.Errorf("core: negative resource bound %+v", p.Resources)
-	}
-	if p.DedupBudget < 0 {
-		return fmt.Errorf("core: negative dedup budget %d", p.DedupBudget)
-	}
-	if !p.Dedup && p.DedupBudget != 0 {
-		return fmt.Errorf("core: DedupBudget set without Dedup")
 	}
 	if p.DuplicateFree && p.Dominance {
 		return fmt.Errorf("core: DuplicateFree with the dominance rule is not supported (no soundness argument)")

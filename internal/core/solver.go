@@ -10,6 +10,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
+	"repro/internal/transpose"
 )
 
 // Stats records the search-effort quantities the paper reports, plus the
@@ -49,16 +50,10 @@ type Stats struct {
 	// emitted. Zero when the knob is off.
 	Skipped int64
 
-	// The transposition-table gauges below are a snapshot taken when the
-	// run ends. SolveParallel's workers share one table, so its gauges
-	// cover every worker; a fleet solve sums its slices' hits, evictions
-	// and stale counts and keeps the largest slice's BytesInUse. All zero
-	// when Dedup is off.
+	// The transposition-table gauges below are a snapshot taken when a
+	// Dedup solve ends; zero otherwise.
 	TableHits       int64 // probes answered by a subsuming entry
-	TableEvictions  int64 // live entries displaced by replacement
-	TableStale      int64 // dead (epoch-expired) entries touched
-	TableBytesInUse int64 // live entry bytes (≤ TableBudget always)
-	TableBudget     int64 // configured byte budget
+	TableBytesInUse int64 // live entry bytes (≤ transpose.DefaultBudget always)
 
 	// Dropped counts vertices lost to the resource bounds MAXSZAS/MAXSZDB.
 	// A nonzero value voids the optimality proof.
@@ -100,7 +95,6 @@ func (s *Stats) add(o Stats) {
 	s.PrunedChildren += o.PrunedChildren
 	s.PrunedActive += o.PrunedActive
 	s.DominancePruned += o.DominancePruned
-	s.DedupPruned += o.DedupPruned
 	s.Skipped += o.Skipped
 	s.Dropped += o.Dropped
 	s.MaxActiveSet += o.MaxActiveSet
@@ -186,13 +180,19 @@ func SolveContext(ctx context.Context, g *taskgraph.Graph, plat platform.Platfor
 	}
 
 	s := &solver{
-		expander: newExpander(g, plat, p, dedupTable(p)),
+		expander: newExpander(g, plat, p),
 		ctx:      ctx,
 		as:       newActiveSet(p.Selection, p.LLBTie),
 		inc:      inc,
 		extBound: taskgraph.Infinity,
 	}
 	s.pol = s
+	if p.Dedup {
+		// The run owns the table until its stats are taken; the table an
+		// earlier solve released is handed out again (transpose.Acquire).
+		s.tt = transpose.Acquire()
+		s.st.EnableSignature()
+	}
 
 	start := time.Now() //bbvet:ignore nondet (wall-clock only feeds Stats.Elapsed and the deadline)
 	if p.Resources.TimeLimit > 0 {
@@ -200,8 +200,11 @@ func SolveContext(ctx context.Context, g *taskgraph.Graph, plat platform.Platfor
 	}
 	s.runRecovering()
 	s.arena.release() // the search tree is dead; drop its slabs wholesale
-	fillTableStats(&s.stats, s.tt)
-	releaseTable(s.tt, s.panicked != nil)
+	if s.tt != nil {
+		ts := s.tt.Snapshot()
+		s.stats.TableHits, s.stats.TableBytesInUse = ts.Hits, ts.BytesInUse
+		s.tt.Release()
+	}
 	s.stats.Elapsed = time.Since(start) //bbvet:ignore nondet (reporting only)
 	if s.popAgeObs > 0 {
 		s.stats.MeanPopAge = s.popAgeSum / float64(s.popAgeObs)

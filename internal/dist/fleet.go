@@ -17,7 +17,6 @@ import (
 	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
-	"repro/internal/transpose"
 )
 
 // ErrResumable marks a solve that was interrupted (context canceled)
@@ -516,15 +515,6 @@ func foldStats(s *activeSolve, reason core.TermReason) core.Stats {
 	if s.expStats.MaxActiveSet > stats.MaxActiveSet {
 		stats.MaxActiveSet = s.expStats.MaxActiveSet
 	}
-	if s.p.Dedup {
-		// Each slice solve runs its own table at this budget; BytesInUse is
-		// the high-water mark across slices, so the pair stays comparable.
-		b := s.p.DedupBudget
-		if b == 0 {
-			b = transpose.DefaultBudget
-		}
-		stats.TableBudget = b
-	}
 	stats.TimedOut = reason == core.TermTimeLimit
 	return stats
 }
@@ -569,6 +559,8 @@ func checkDistributable(p core.Params) error {
 	switch {
 	case p.Dominance:
 		return fmt.Errorf("dist: the dominance rule is not distributable (the domination table is global)")
+	case p.Dedup:
+		return fmt.Errorf("dist: Dedup is not distributable; use DuplicateFree")
 	case p.Resources.MaxActiveSet != 0 || p.Resources.MaxChildren != 0:
 		return fmt.Errorf("dist: MAXSZAS/MAXSZDB are not distributable")
 	case p.UpperBound == core.UpperBoundSeeded:
@@ -964,11 +956,6 @@ func (s *activeSolve) foldSlice(sc *SliceCheckpoint) bool {
 	st.PrunedActive += sc.Stats.PrunedActive
 	st.MaxActiveSet = max(st.MaxActiveSet, sc.Stats.MaxActiveSet)
 	st.Skipped += sc.Stats.Skipped
-	st.DedupPruned += sc.Stats.DedupPruned
-	st.TableHits += sc.Stats.TableHits
-	st.TableEvictions += sc.Stats.TableEvictions
-	st.TableStale += sc.Stats.TableStale
-	st.TableBytesInUse = max(st.TableBytesInUse, sc.Stats.TableBytes) // high-water across workers
 	switch {
 	case sc.Exhausted:
 	case sc.Reason == "timeout":

@@ -103,15 +103,18 @@ func readSeed(t *testing.T, name string) []byte {
 	return []byte(body)
 }
 
-// TestWireSeedsRejected pins the two wire changes the seed corpus holds: a
-// report from a worker that still sends the digest fields is a 400 under
-// the strict envelope, and a duplicate-free lease whose prefix breaks
+// TestWireSeedsRejected pins the wire changes the seed corpus holds: a
+// report from a worker that still sends the digest fields, or the
+// transposition-table gauges, is a 400 under the strict envelope that
+// names the field, and a duplicate-free lease whose prefix breaks
 // (start, ID) order fails core's prefix check, naming the placement.
 func TestWireSeedsRejected(t *testing.T) {
-	rec := httptest.NewRecorder()
-	req := httptest.NewRequest(http.MethodPost, "/dist/v1/report", bytes.NewReader(readSeed(t, "digest-report")))
-	if envelope[ReportRequest](rec, req) || rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "digest") {
-		t.Errorf("digest report: %d %s, want a 400 naming the field", rec.Code, rec.Body)
+	for seed, field := range map[string]string{"digest-report": "digest", "dedup-report": "dedup_pruned"} {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/dist/v1/report", bytes.NewReader(readSeed(t, seed)))
+		if envelope[ReportRequest](rec, req) || rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), field) {
+			t.Errorf("%s: %d %s, want a 400 naming %q", seed, rec.Code, rec.Body, field)
+		}
 	}
 
 	var lease LeaseResponse

@@ -33,11 +33,6 @@ type ParamsSpec struct {
 	Bound  string  `json:"bound,omitempty"`
 	BR     float64 `json:"br,omitempty"`
 
-	// Dedup/DedupBudget ship core.Params.Dedup to the workers: each slice
-	// solve keeps its own private transposition table.
-	Dedup       bool  `json:"dedup,omitempty"`
-	DedupBudget int64 `json:"dedup_budget,omitempty"`
-
 	// DuplicateFree ships core.Params.DuplicateFree: the frontier is a
 	// set of paths of the duplicate-free tree, and each slice solve
 	// searches its part of that tree.
@@ -54,14 +49,6 @@ func (s ParamsSpec) Params() (core.Params, error) {
 		return p, fmt.Errorf("dist: BR %v outside [0,1)", s.BR)
 	}
 	p.BR = s.BR
-	if s.DedupBudget < 0 {
-		return p, fmt.Errorf("dist: negative dedup budget %d", s.DedupBudget)
-	}
-	if s.DedupBudget != 0 && !s.Dedup {
-		return p, fmt.Errorf("dist: dedup_budget without dedup")
-	}
-	p.Dedup = s.Dedup
-	p.DedupBudget = s.DedupBudget
 	p.DuplicateFree = s.DuplicateFree
 	return p, nil
 }
@@ -76,8 +63,6 @@ func SpecFromParams(p core.Params) (ParamsSpec, error) {
 		return s, fmt.Errorf("dist: %w", err)
 	}
 	s.BR = p.BR
-	s.Dedup = p.Dedup
-	s.DedupBudget = p.DedupBudget
 	s.DuplicateFree = p.DuplicateFree
 	return s, nil
 }
@@ -102,15 +87,6 @@ type WireStats struct {
 
 	// Skipped counts the children duplicate-free generation dropped.
 	Skipped int64 `json:"skipped,omitempty"`
-
-	// Dedup accounting, per slice like the counters above: each slice
-	// solve runs its own transposition table, and TableBytes is its
-	// bytes-in-use gauge when the solve ends.
-	DedupPruned    int64 `json:"dedup_pruned,omitempty"`
-	TableHits      int64 `json:"table_hits,omitempty"`
-	TableEvictions int64 `json:"table_evictions,omitempty"`
-	TableStale     int64 `json:"table_stale,omitempty"`
-	TableBytes     int64 `json:"table_bytes,omitempty"`
 }
 
 func wireStats(st core.Stats) WireStats {
@@ -123,11 +99,6 @@ func wireStats(st core.Stats) WireStats {
 		IncumbentUpdates: st.IncumbentUpdates,
 		MaxActiveSet:     st.MaxActiveSet,
 		Skipped:          st.Skipped,
-		DedupPruned:      st.DedupPruned,
-		TableHits:        st.TableHits,
-		TableEvictions:   st.TableEvictions,
-		TableStale:       st.TableStale,
-		TableBytes:       st.TableBytesInUse,
 	}
 }
 

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -127,9 +128,9 @@ func TestJournalResumeByteIdentical(t *testing.T) {
 }
 
 // TestTerminalResumeStats: a terminal Resume re-assembles the live run's
-// Stats, the dedup, table and skipped counters included, because live
-// reports and journal replay fold each slice through one method and the
-// expansion's counters travel in the solve record.
+// Stats, the skipped counter included, because live reports and journal
+// replay fold each slice through one method and the expansion's counters
+// travel in the solve record.
 func TestTerminalResumeStats(t *testing.T) {
 	g, plat := pinnedInstance(t, 4001)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -138,7 +139,7 @@ func TestTerminalResumeStats(t *testing.T) {
 		p       core.Params
 		counter func(core.Stats) int64
 	}{
-		{core.Params{Dedup: true, DedupBudget: 1 << 20}, func(s core.Stats) int64 { return min(s.DedupPruned, s.TableBytesInUse) }},
+		{core.Params{}, func(s core.Stats) int64 { return s.PrunedChildren }},
 		{core.Params{DuplicateFree: true}, func(s core.Stats) int64 { return s.Skipped }},
 	} {
 		path := filepath.Join(t.TempDir(), "journal.jsonl")
@@ -158,6 +159,43 @@ func TestTerminalResumeStats(t *testing.T) {
 		if got.Stats != want.Stats {
 			t.Fatalf("%v: terminal resume stats differ:\n got %+v\nwant %+v", c.p, got.Stats, want.Stats)
 		}
+	}
+}
+
+// TestOlderJournalResumes: a journal written before the fleet dropped
+// Dedup, whose solve spec carries dedup/dedup_budget and whose stats carry
+// the table gauges, still resumes to the live run's answer and Stats,
+// because the journal decodes with json.Unmarshal, which skips unknown
+// fields.
+func TestOlderJournalResumes(t *testing.T) {
+	g, plat := pinnedInstance(t, 4001)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	want, err := startFabric(t, journaledConfig(path), 1).Solve(ctx, g, plat, core.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Count(raw, []byte(`"select":`)) != 1 || !bytes.Contains(raw, []byte(`"generated":`)) {
+		t.Fatalf("journal layout changed; the fields below are injected at the wrong places:\n%s", raw)
+	}
+	raw = bytes.ReplaceAll(raw, []byte(`"select":`), []byte(`"dedup":true,"dedup_budget":1048576,"select":`))
+	raw = bytes.ReplaceAll(raw, []byte(`"generated":`), []byte(`"dedup_pruned":3,"table_hits":2,"table_evictions":1,"table_stale":1,"table_bytes":64,"generated":`))
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewFleet(journaledConfig(path)).Resume(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Stats.Elapsed, got.Stats.Elapsed = 0, 0
+	if got.Cost != want.Cost || got.Optimal != want.Optimal || got.Stats != want.Stats {
+		t.Fatalf("older journal resumed to cost=%d optimal=%v %+v, want cost=%d optimal=%v %+v",
+			got.Cost, got.Optimal, got.Stats, want.Cost, want.Optimal, want.Stats)
 	}
 }
 

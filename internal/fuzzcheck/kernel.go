@@ -8,6 +8,7 @@ import (
 	"repro/internal/deadline"
 	"repro/internal/gen"
 	"repro/internal/platform"
+	"repro/internal/taskgraph"
 )
 
 // KernelConfig bounds one kernel differential campaign: the optimized
@@ -90,8 +91,8 @@ func RunKernel(cfg KernelConfig) (Result, error) {
 		}
 		res.Checked += checked
 		// Each combo can contribute a trajectory pair and a dedup pair;
-		// IDA contributes one of each.
-		res.Skipped += 2*len(kernelCombos) + 2 - checked
+		// IDA contributes a trajectory pair.
+		res.Skipped += 2*len(kernelCombos) + 1 - checked
 		if cfg.Logf != nil {
 			cfg.Logf("fuzzcheck: kernel seed %d done (%d checked, %d skipped)", seed, res.Checked, res.Skipped)
 		}
@@ -155,7 +156,7 @@ func checkKernelInstance(cfg KernelConfig, seed int64) (int, error) {
 		if a.Stats.Dropped == 0 && b.Stats.Dropped == 0 {
 			dd := opt
 			dd.Dedup = true
-			c, err := dedupTwice(func() (core.Result, error) { return core.Solve(g, plat, dd) })
+			c, err := dedupTwice(g, plat, dd)
 			if err != nil {
 				return checked, fmt.Errorf("%s dedup: %w", combo.name, err)
 			}
@@ -186,18 +187,6 @@ func checkKernelInstance(cfg KernelConfig, seed int64) (int, error) {
 		}
 		checked++
 	}
-	dd := opt
-	dd.Dedup = true
-	c, err := dedupTwice(func() (core.Result, error) { return core.SolveIDA(g, plat, dd) })
-	if err != nil {
-		return checked, fmt.Errorf("ida dedup: %w", err)
-	}
-	if !b.Stats.TimedOut && !c.Stats.TimedOut {
-		if err := dedupOutcomeEqual(c, b); err != nil {
-			return checked, fmt.Errorf("ida dedup: %w", err)
-		}
-		checked++
-	}
 	return checked, nil
 }
 
@@ -206,12 +195,12 @@ func checkKernelInstance(cfg KernelConfig, seed int64) (int, error) {
 // unless a run timed out, the two must agree on the outcome and on every
 // Stats counter: a recycled table has to be indistinguishable from a
 // fresh one. It returns the first run.
-func dedupTwice(solve func() (core.Result, error)) (core.Result, error) {
-	a, err := solve()
+func dedupTwice(g *taskgraph.Graph, plat platform.Platform, p core.Params) (core.Result, error) {
+	a, err := core.Solve(g, plat, p)
 	if err != nil {
 		return a, err
 	}
-	b, err := solve()
+	b, err := core.Solve(g, plat, p)
 	if err != nil {
 		return a, fmt.Errorf("rerun: %w", err)
 	}

@@ -115,9 +115,6 @@ func procSalts(p platform.Platform) []uint64 {
 	return salts
 }
 
-// SignatureEnabled reports whether EnableSignature was called.
-func (s *State) SignatureEnabled() bool { return s.sig.on }
-
 // Signature returns the 128-bit canonical signature of the current partial
 // schedule as two 64-bit words. It panics unless EnableSignature was
 // called — a zero signature must never be mistaken for a real one.

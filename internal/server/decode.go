@@ -34,7 +34,7 @@ func with(base []string, more ...string) []string {
 
 var (
 	graphRequestFields = []string{"graph", "procs", "speed_factors", "affinities"}
-	solveFields        = with(graphRequestFields, "mode", "select", "branch", "bound", "br", "budget_ms", "workers", "distributed", "dedup", "dedup_budget")
+	solveFields        = with(graphRequestFields, "mode", "select", "branch", "bound", "br", "budget_ms", "workers", "distributed", "dedup")
 	batchFields        = []string{"requests"}
 	anytimeFields      = with(graphRequestFields, "budget_ms", "workers", "improve_iters", "seed")
 	listFields         = with(graphRequestFields, "policy")
@@ -129,8 +129,6 @@ func (q *SolveRequest) decodeField(r *jsonread.Reader, name string) {
 		jsonread.Bool(r, &q.Distributed)
 	case "dedup":
 		jsonread.Bool(r, &q.Dedup)
-	case "dedup_budget":
-		jsonread.Int(r, &q.DedupBudget)
 	default:
 		q.GraphRequest.decodeField(r, name)
 	}

@@ -75,7 +75,6 @@ type solveMirror struct {
 	Workers      int       `json:"workers,omitempty"`
 	Distributed  bool      `json:"distributed,omitempty"`
 	Dedup        bool      `json:"dedup,omitempty"`
-	DedupBudget  int64     `json:"dedup_budget,omitempty"`
 }
 
 // referenceDecode decodes a body as the server did before: json.Decoder
@@ -89,7 +88,7 @@ func referenceDecode(body []byte) (SolveRequest, error) {
 		GraphRequest: GraphRequest{Graph: m.Graph.g, Procs: m.Procs, SpeedFactors: m.SpeedFactors, Affinities: m.Affinities},
 		Mode:         m.Mode, Select: m.Select, Branch: m.Branch, Bound: m.Bound, BR: m.BR,
 		BudgetMS: m.BudgetMS, Workers: m.Workers, Distributed: m.Distributed,
-		Dedup: m.Dedup, DedupBudget: m.DedupBudget,
+		Dedup: m.Dedup,
 	}, nil
 }
 
@@ -165,7 +164,7 @@ func testRequests(t *testing.T) []any {
 	gr := GraphRequest{Graph: g, Procs: 3, SpeedFactors: []float64{1, 2.5, 0.125}, Affinities: aff}
 	solve := SolveRequest{
 		GraphRequest: gr, Mode: "global", Select: "llb", Branch: "df", Bound: "lb0", BR: 0.25,
-		BudgetMS: 1500, Workers: 4, Distributed: true, Dedup: true, DedupBudget: 1 << 20,
+		BudgetMS: 1500, Workers: 4, Distributed: true, Dedup: true,
 	}
 	other := solve
 	other.GraphRequest = GraphRequest{Graph: testGraph(t, 4), Procs: 2, SpeedFactors: []float64{3, 1}, Affinities: []uint64{1, 2, 3}}

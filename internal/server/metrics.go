@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/grid"
 )
@@ -106,68 +105,6 @@ func (m *endpointMetrics) snapshot() EndpointSnapshot {
 	}
 }
 
-// transposeMetrics aggregates the duplicate-detection gauges across every
-// solve the server ran with Dedup on (in-process, parallel, and
-// distributed solves alike — the fleet folds its workers' table deltas
-// into the result Stats this feeds on).
-type transposeMetrics struct {
-	solves      atomic.Int64
-	dedupPruned atomic.Int64
-	hits        atomic.Int64
-	evictions   atomic.Int64
-	stale       atomic.Int64
-	bytesHW     atomic.Int64 // high-water bytes-in-use of any one table
-	budget      atomic.Int64 // largest per-table budget configured so far
-}
-
-// note folds one finished solve's table gauges in; a no-dedup solve
-// (TableBudget zero) is ignored.
-func (t *transposeMetrics) note(st core.Stats) {
-	if st.TableBudget == 0 {
-		return
-	}
-	t.solves.Add(1)
-	t.dedupPruned.Add(st.DedupPruned)
-	t.hits.Add(st.TableHits)
-	t.evictions.Add(st.TableEvictions)
-	t.stale.Add(st.TableStale)
-	storeMax(&t.bytesHW, st.TableBytesInUse)
-	storeMax(&t.budget, st.TableBudget)
-}
-
-func storeMax(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// TransposeSnapshot is the JSON form of the dedup gauges. The bbload
-// budget assertion reads table_bytes_high_water against table_budget.
-type TransposeSnapshot struct {
-	Solves         int64 `json:"solves"`
-	DedupPruned    int64 `json:"dedup_pruned"`
-	TableHits      int64 `json:"table_hits"`
-	TableEvictions int64 `json:"table_evictions"`
-	TableStale     int64 `json:"table_stale"`
-	BytesHighWater int64 `json:"table_bytes_high_water"`
-	TableBudget    int64 `json:"table_budget"`
-}
-
-func (t *transposeMetrics) snapshot() TransposeSnapshot {
-	return TransposeSnapshot{
-		Solves:         t.solves.Load(),
-		DedupPruned:    t.dedupPruned.Load(),
-		TableHits:      t.hits.Load(),
-		TableEvictions: t.evictions.Load(),
-		TableStale:     t.stale.Load(),
-		BytesHighWater: t.bytesHW.Load(),
-		TableBudget:    t.budget.Load(),
-	}
-}
-
 // MetricsSnapshot is the /metrics document.
 type MetricsSnapshot struct {
 	UptimeMS int64 `json:"uptime_ms"`
@@ -193,10 +130,6 @@ type MetricsSnapshot struct {
 	Tenants []grid.TenantSnapshot `json:"tenants,omitempty"`
 
 	Endpoints map[string]EndpointSnapshot `json:"endpoints"`
-
-	// Transpose holds the duplicate-detection gauges; omitted until a
-	// Dedup solve has run.
-	Transpose *TransposeSnapshot `json:"transpose,omitempty"`
 
 	// Fleet holds the distributed-fabric counters when the server was
 	// configured with one (bbserved -distributed); omitted otherwise.

@@ -91,11 +91,12 @@ type SolveRequest struct {
 	// with a Fleet (bbserved -distributed); mutually exclusive with
 	// Workers.
 	Distributed bool `json:"distributed,omitempty"`
-	// Dedup enables duplicate detection (core.Params.Dedup): canonical
-	// state signatures plus a memory-bounded transposition table.
-	// DedupBudget caps the table bytes (0 = transpose.DefaultBudget).
-	Dedup       bool  `json:"dedup,omitempty"`
-	DedupBudget int64 `json:"dedup_budget,omitempty"`
+	// Dedup asks for duplicate detection. Every global solve the server
+	// runs is already duplicate-free (core.Params.DuplicateFree), which
+	// removes the duplicates a transposition table would catch, so the
+	// knob builds no table and leaves the answer bytes and cache key
+	// alone. The partitioned mode rejects it.
+	Dedup bool `json:"dedup,omitempty"`
 }
 
 // partitioned resolves the request mode, rejecting knobs the partitioned
@@ -134,17 +135,9 @@ func (r *SolveRequest) params() (core.Params, error) {
 	if r.Workers < 0 || r.Workers > 256 {
 		return p, fmt.Errorf("workers %d outside [0,256]", r.Workers)
 	}
-	if r.DedupBudget < 0 {
-		return p, fmt.Errorf("negative dedup_budget %d", r.DedupBudget)
-	}
-	if r.DedupBudget != 0 && !r.Dedup {
-		return p, fmt.Errorf("dedup_budget without dedup")
-	}
-	p.Dedup = r.Dedup
-	p.DedupBudget = r.DedupBudget
 	// A served solve returns Lmax, the flags and one schedule, not the
 	// paper's tree, so every global solve, in-process or on the fleet,
-	// skips duplicate children.
+	// skips duplicate children; Dedup has nothing left to prune.
 	p.DuplicateFree = r.Mode != "partitioned"
 	return p, nil
 }
@@ -158,29 +151,15 @@ type SearchStats struct {
 	Goals        int64 `json:"goals"`
 	MaxActiveSet int   `json:"max_active_set"`
 	TimedOut     bool  `json:"timed_out"`
-
-	// Dedup gauges, present only when the request set Dedup.
-	DedupPruned    int64 `json:"dedup_pruned,omitempty"`
-	TableHits      int64 `json:"table_hits,omitempty"`
-	TableEvictions int64 `json:"table_evictions,omitempty"`
-	TableStale     int64 `json:"table_stale,omitempty"`
-	TableBytes     int64 `json:"table_bytes,omitempty"`
-	TableBudget    int64 `json:"table_budget,omitempty"`
 }
 
 func searchStats(st core.Stats) SearchStats {
 	return SearchStats{
-		Generated:      st.Generated,
-		Expanded:       st.Expanded,
-		Goals:          st.Goals,
-		MaxActiveSet:   st.MaxActiveSet,
-		TimedOut:       st.TimedOut,
-		DedupPruned:    st.DedupPruned,
-		TableHits:      st.TableHits,
-		TableEvictions: st.TableEvictions,
-		TableStale:     st.TableStale,
-		TableBytes:     st.TableBytesInUse,
-		TableBudget:    st.TableBudget,
+		Generated:    st.Generated,
+		Expanded:     st.Expanded,
+		Goals:        st.Goals,
+		MaxActiveSet: st.MaxActiveSet,
+		TimedOut:     st.TimedOut,
 	}
 }
 

@@ -85,7 +85,7 @@ func mustMarshal(t testing.TB, v any) []byte {
 // returns exactly the bytes of the JSON round trip.
 func TestRemapSpliceMatchesReference(t *testing.T) {
 	pls, perm, invProc := remapFixture(t, 21, 3)
-	stats := SearchStats{Generated: 99, Expanded: 12, Goals: 3, MaxActiveSet: 7, DedupPruned: 4}
+	stats := SearchStats{Generated: 99, Expanded: 12, Goals: 3, MaxActiveSet: 7, TimedOut: true}
 	feasible := mustMarshal(t, SolveResponse{Feasible: true, Lmax: -3, Makespan: 40, Optimal: true, Reason: "exhausted", Stats: stats, Schedule: pls})
 	infeasible := mustMarshal(t, SolveResponse{Reason: "exhausted", Stats: stats})
 	nullSolve := []byte(strings.TrimSuffix(string(infeasible), "}") + `,"schedule":null}`)

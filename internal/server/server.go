@@ -152,8 +152,7 @@ type Server struct {
 
 	draining atomic.Bool
 
-	metrics   map[string]*endpointMetrics
-	transpose transposeMetrics
+	metrics map[string]*endpointMetrics
 
 	// solveFn is the exact-solver seam; tests substitute slow or counting
 	// solvers to exercise admission control without real search workloads.
@@ -255,10 +254,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 		SharedWaits:       s.cache.sharedHit.Load(),
 		Tenants:           s.adm.Tenants(),
 		Endpoints:         eps,
-	}
-	if s.transpose.solves.Load() > 0 {
-		ts := s.transpose.snapshot()
-		snap.Transpose = &ts
 	}
 	if s.cfg.Fleet != nil {
 		fs := s.cfg.Fleet.Snapshot()
@@ -529,15 +524,17 @@ func graphKey(g *taskgraph.Graph) string {
 // graph digest plus the canonical platform fragment (hetero.Key — exactly
 // the legacy "m=<M>" for homogeneous-universal platforms) plus every
 // parameter that changes the answer bytes. /v1/solve and /v1/batch share
-// it, so their cache lines are one.
+// it, so their cache lines are one. The workers fragment names the solver
+// that runs: 0 for the sequential kernel (workers 0 and 1 alike), N for
+// SolveParallel on N > 1 workers.
 func solveKey(cg canonGraph, platKey string, params core.Params, req SolveRequest, partitioned bool, budget time.Duration) string {
 	distKey := 0
 	if req.Distributed {
 		distKey = 1
 	}
-	dedupKey := int64(0)
-	if params.Dedup {
-		dedupKey = 1 + params.DedupBudget // Stats in the answer bytes depend on it
+	workersKey := 0
+	if req.Workers > 1 {
+		workersKey = req.Workers
 	}
 	dupFreeKey := 0
 	if params.DuplicateFree {
@@ -547,10 +544,10 @@ func solveKey(cg canonGraph, platKey string, params core.Params, req SolveReques
 	if partitioned {
 		modeKey = 1
 	}
-	return fmt.Sprintf("solve|%s|%s|s=%d|b=%d|l=%d|r=%g|w=%d|t=%d|d=%d|dd=%d|df=%d|md=%d",
+	return fmt.Sprintf("solve|%s|%s|s=%d|b=%d|l=%d|r=%g|w=%d|t=%d|d=%d|df=%d|md=%d",
 		cg.key, platKey,
 		params.Selection, params.Branching, params.Bound, params.BR,
-		req.Workers, budget, distKey, dedupKey, dupFreeKey, modeKey)
+		workersKey, budget, distKey, dupFreeKey, modeKey)
 }
 
 // solveJob is a /v1/solve request or a /v1/batch member reduced to its
@@ -621,7 +618,6 @@ func (s *Server) buildSolve(req *SolveRequest, tenant string) (solveJob, error) 
 		if err != nil {
 			return nil, err
 		}
-		s.transpose.note(res.Stats)
 		return json.Marshal(solveResponse(res))
 	})
 	key := solveKey(cg, platKey, params, *req, partitioned, budget)

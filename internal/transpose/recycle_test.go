@@ -12,13 +12,10 @@ import (
 func clearSpare() { spare.Store(nil) }
 
 // fillKeys stores keys drawn from a small space (so later probes collide
-// with them) at mixed depths, with a few resets in between.
+// with them) at mixed depths.
 func fillKeys(tb *Table, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < 3000; i++ {
-		if i%700 == 699 {
-			tb.Reset()
-		}
 		tb.Store(uint64(rng.Intn(400)), uint64(rng.Intn(3)), int32(rng.Intn(6)), int64(rng.Intn(50)))
 	}
 }
@@ -27,7 +24,7 @@ func TestReleaseAcquireIsPristine(t *testing.T) {
 	clearSpare()
 	defer clearSpare()
 
-	tb := Acquire(MinBudget)
+	tb := Acquire()
 	fillKeys(tb, 1)
 	tb.Store(1, 2, 3, 10)
 	tb.Store(4, 5, 6, 7)
@@ -36,11 +33,11 @@ func TestReleaseAcquireIsPristine(t *testing.T) {
 	}
 	tb.Release()
 
-	re := Acquire(MinBudget)
+	re := Acquire()
 	if re != tb {
-		t.Fatal("Acquire allocated although a spare of the same size was idle")
+		t.Fatal("Acquire allocated although a spare was idle")
 	}
-	want := New(MinBudget).Snapshot()
+	want := New(DefaultBudget).Snapshot()
 	if got := re.Snapshot(); got != want {
 		t.Fatalf("recycled snapshot %+v, fresh %+v", got, want)
 	}
@@ -57,7 +54,7 @@ func TestReleaseAcquireIsPristine(t *testing.T) {
 		}
 	}
 	s := re.Snapshot()
-	if s.Hits != 0 || s.Stale != 0 || s.Stores != 0 || s.Evictions != 0 || s.BytesInUse != 0 {
+	if s.Hits != 0 || s.Stores != 0 || s.Evictions != 0 || s.BytesInUse != 0 {
 		t.Fatalf("recycled table counters %+v, want all zero but misses", s)
 	}
 }
@@ -69,25 +66,20 @@ func TestRecycledTableMatchesFresh(t *testing.T) {
 	clearSpare()
 	defer clearSpare()
 
-	old := Acquire(MinBudget)
+	old := Acquire()
 	fillKeys(old, 2)
 	old.Release()
-	re := Acquire(MinBudget)
+	re := Acquire()
 	if re != old {
 		t.Fatal("table was not recycled")
 	}
-	fresh := New(MinBudget)
+	fresh := New(DefaultBudget)
 
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 5000; i++ {
 		lo, hi := uint64(rng.Intn(400)), uint64(rng.Intn(3))
 		depth, lb := int32(rng.Intn(6)), int64(rng.Intn(50))
 		switch i % 10 {
-		case 0:
-			if i%1000 == 0 {
-				fresh.Reset()
-				re.Reset()
-			}
 		case 1, 2, 3:
 			fresh.Store(lo, hi, depth, lb)
 			re.Store(lo, hi, depth, lb)
@@ -102,74 +94,63 @@ func TestRecycledTableMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestEpochWrapResetsBase: a Release that wraps the epoch counter
+// restarts it at its base value 1 and clears the buckets, so no entry of
+// an earlier epoch reads as live.
 func TestEpochWrapResetsBase(t *testing.T) {
 	clearSpare()
 	defer clearSpare()
 
-	for _, op := range []struct {
-		name string
-		run  func(*Table)
-	}{
-		{"Reset", (*Table).Reset},
-		{"Release", (*Table).Release},
-	} {
-		tb := New(MinBudget)
-		tb.epoch, tb.base = math.MaxUint32, math.MaxUint32-3
-		tb.Store(1, 2, 3, 10)
-		op.run(tb)
-		if tb.epoch != 1 || tb.base != 1 {
-			t.Fatalf("%s at the wrap: epoch %d base %d, want 1 and 1", op.name, tb.epoch, tb.base)
-		}
-		if tb.Probe(1, 2, 3, 10) {
-			t.Fatalf("%s at the wrap: entry survived", op.name)
-		}
-		if s := tb.Snapshot(); s.Stale != 0 {
-			t.Fatalf("%s at the wrap: stale %d, want 0 (buckets are cleared)", op.name, s.Stale)
-		}
-		tb.Store(1, 2, 3, 10)
-		if !tb.Probe(1, 2, 3, 10) {
-			t.Fatalf("%s at the wrap: store after the wrap lost", op.name)
-		}
+	tb := New(DefaultBudget)
+	tb.epoch = math.MaxUint32
+	tb.Store(1, 2, 3, 10)
+	tb.Release()
+	if tb.epoch != 1 {
+		t.Fatalf("epoch %d after the wrap, want 1", tb.epoch)
+	}
+	if tb.Probe(1, 2, 3, 10) {
+		t.Fatal("entry survived the wrap")
+	}
+	tb.Store(1, 2, 3, 10)
+	if !tb.Probe(1, 2, 3, 10) {
+		t.Fatal("store after the wrap lost")
 	}
 }
 
 // TestReleaseKeepsOneSpare checks the retention bound: the latest release
-// replaces the spare, and Acquire takes it only at its bucket count.
+// replaces the spare, and Acquire takes it.
 func TestReleaseKeepsOneSpare(t *testing.T) {
 	clearSpare()
 	defer clearSpare()
 
-	small, large := New(MinBudget), New(2*MinBudget)
-	small.Release()
-	large.Release()
-	if spare.Load() != large {
+	first, latest := New(DefaultBudget), New(DefaultBudget)
+	first.Release()
+	latest.Release()
+	if spare.Load() != latest {
 		t.Fatal("the latest release did not replace the spare")
 	}
-	if tb := Acquire(MinBudget); tb == small || tb == large {
-		t.Fatal("Acquire handed out a table that is not a spare of its bucket count")
+	if Acquire() != latest || spare.Load() != nil {
+		t.Fatal("Acquire did not take the spare")
 	}
-	if spare.Load() != large {
-		t.Fatal("Acquire at another bucket count took the spare")
-	}
-	if Acquire(2*MinBudget) != large || spare.Load() != nil {
-		t.Fatal("Acquire at the spare's bucket count did not take it")
+	if tb := Acquire(); tb == first || tb == latest {
+		t.Fatal("Acquire handed out a table that is not the spare")
 	}
 }
 
-// TestReleaseDropsOversizedTable checks that a table over DefaultBudget is
-// left for the garbage collector instead of replacing the spare, so a large
-// per-request budget is not pinned after its solve.
+// TestReleaseDropsOversizedTable checks that a table Acquire would not
+// hand out, larger or smaller than DefaultBudget, is left for the garbage
+// collector instead of replacing the spare.
 func TestReleaseDropsOversizedTable(t *testing.T) {
 	clearSpare()
 	defer clearSpare()
 
-	kept := New(MinBudget)
+	kept := New(DefaultBudget)
 	kept.Release()
-	big := New(MinBudget)
-	big.budget = DefaultBudget + 1 // Release reads the budget; a real one would allocate 64 MiB
-	big.Release()
-	if spare.Load() != kept {
-		t.Fatal("releasing an oversized table replaced the spare")
+	for _, budget := range []int64{MinBudget, DefaultBudget + 1} {
+		New(budget).Release()
+		if spare.Load() != kept {
+			t.Fatalf("releasing a table of budget %d replaced the spare", budget)
+		}
 	}
 }
 
@@ -177,7 +158,7 @@ func TestDoubleReleasePanics(t *testing.T) {
 	clearSpare()
 	defer clearSpare()
 
-	tb := New(MinBudget)
+	tb := New(DefaultBudget)
 	tb.Release()
 	epoch := tb.epoch
 	defer func() {
@@ -191,27 +172,28 @@ func TestDoubleReleasePanics(t *testing.T) {
 	tb.Release()
 }
 
-// TestConcurrentAcquireRelease cycles tables of two sizes through the
-// spare from many goroutines (run it under -race): every table handed out
-// must be pristine and owned by exactly one goroutine at a time.
+// TestConcurrentAcquireRelease cycles tables through the spare from
+// several goroutines (run it under -race): every table handed out must be
+// pristine and owned by exactly one goroutine at a time. Each table is
+// 64 MiB, so the goroutine and round counts stay small.
 func TestConcurrentAcquireRelease(t *testing.T) {
 	clearSpare()
 	defer clearSpare()
 
 	var owners sync.Map
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 200; i++ {
-				tb := Acquire(MinBudget << rng.Intn(2))
+			for i := 0; i < 50; i++ {
+				tb := Acquire()
 				if _, taken := owners.LoadOrStore(tb, seed); taken {
 					t.Errorf("table handed to two goroutines at once")
 					return
 				}
-				if s := tb.Snapshot(); s.Hits != 0 || s.Stores != 0 || s.Stale != 0 || s.BytesInUse != 0 {
+				if s := tb.Snapshot(); s.Hits != 0 || s.Stores != 0 || s.BytesInUse != 0 {
 					t.Errorf("acquired a used table: %+v", s)
 					return
 				}

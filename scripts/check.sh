@@ -63,16 +63,20 @@ vet)
 
     echo "==> wireschema snapshot is current"
     snap=internal/check/testdata/wireschema.snap
+    # -write-wireschema rewrites the snapshot in place. Compare it with a
+    # copy of the working file taken first, staged or not, and put the copy
+    # back on a mismatch so the failure is reported, not silently fixed.
+    saved="$(mktemp)"
+    cp "$snap" "$saved"
     go run ./cmd/bbvet -write-wireschema ./... >/dev/null
-    # -write-wireschema rewrites the committed snapshot in place; a diff
-    # against git means the tree was out of date. Restore on mismatch so
-    # the failure is reported, not silently fixed.
-    git diff --quiet -- "$snap" || {
-        git diff -- "$snap" | head -40
-        git checkout -- "$snap"
+    if ! cmp -s "$saved" "$snap"; then
+        diff -u "$saved" "$snap" | head -40
+        cp "$saved" "$snap"
+        rm -f "$saved"
         echo "FAIL: $snap is stale; regenerate with: go run ./cmd/bbvet -write-wireschema ./..." >&2
         exit 1
-    }
+    fi
+    rm -f "$saved"
 
     run env GOWORK=off go -C cmd/bbperf vet ./...
     run bash cmd/bbperf/bench.sh --quick
