@@ -19,8 +19,9 @@ import (
 // function that is not covered by the committed allowlist
 // (internal/check/testdata/hotalloc.allow). The hot set is the
 // allocation-free expansion path — EST/Place scheduling operations,
-// child-bound computation, level sweeps, the vertex arena, and the
-// transposition table's probe and store — where a
+// child-bound computation, level sweeps, the vertex arena, the
+// transposition table's probe and store, and the partitioned search's
+// vertex loop and leaf simulation — where a
 // new escape means a per-vertex allocation the benchmarks would only
 // catch on the next perf run.
 //
@@ -50,6 +51,12 @@ var hotAllocDefaultFunctions = map[string][]string{
 	// stored for every expansion of a dedup search; table allocation and
 	// recycling (New, Acquire, Release) live in separate, cold functions.
 	"internal/transpose": {"Probe", "Store"},
+	// The partitioned search: its vertex loop, the per-expansion suffix
+	// sweep, the per-child start time and bound fold, and the leaf
+	// simulation. Per-solve set-up (SolvePartitioned, PartitionedOrder) is
+	// cold.
+	"internal/hetero": {"dfs", "sweep", "start", "suffixBound"},
+	"internal/edf":    {"PartitionedLmax"},
 }
 
 // hotAllowEntry is one parsed allowlist line:

@@ -1,6 +1,7 @@
 package hetero
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -358,23 +359,43 @@ func TestUnitSpecIdenticalToLegacy(t *testing.T) {
 	}
 }
 
-// Node and time limits exit through the anytime contract: best incumbent,
-// Optimal=false.
+// Node limits and cancellation exit through the anytime contract: the
+// best incumbent, Optimal=false. The instance needs 891 visits, so every
+// limit below binds, though none reaches 1024, where the clock and the
+// context are polled.
 func TestSolvePartitionedAnytime(t *testing.T) {
-	g := smallInstance(t, 3)
-	p := platform.Platform{M: 3, CommDelay: 1, Speed: []float64{0.5, 1, 2}}
-	res, err := SolvePartitioned(nil, g, p, Options{NodeLimit: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Schedule == nil || res.Cost == taskgraph.Infinity {
-		t.Fatal("bounded exit lost the seeded incumbent")
-	}
+	g := gen.New(gen.Defaults(), 7000).Graph()
+	p := benchPlatform(g.NumTasks())
 	full, err := SolvePartitioned(nil, g, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cost < full.Cost {
-		t.Fatalf("bounded cost %d beats the optimum %d", res.Cost, full.Cost)
+	if !full.Optimal || full.Stats.Visited <= 100 {
+		t.Fatalf("unbounded search: optimal=%v after %d visits; the limits below must bind", full.Optimal, full.Stats.Visited)
+	}
+	for _, limit := range []int64{1, 100, full.Stats.Visited - 1} {
+		res, err := SolvePartitioned(nil, g, p, Options{NodeLimit: limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Optimal || !res.Stats.TimedOut {
+			t.Errorf("NodeLimit %d: optimal=%v timedOut=%v after %d visits", limit, res.Optimal, res.Stats.TimedOut, res.Stats.Visited)
+		}
+		if res.Stats.Visited > limit+1 {
+			t.Errorf("NodeLimit %d: %d visits", limit, res.Stats.Visited)
+		}
+		if res.Schedule == nil || res.Cost < full.Cost {
+			t.Errorf("NodeLimit %d: cost %d beats the optimum %d (schedule %v)", limit, res.Cost, full.Cost, res.Schedule != nil)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := SolvePartitioned(ctx, g, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Optimal || res.Schedule == nil || res.Cost < full.Cost {
+		t.Errorf("canceled context: optimal=%v cost %d (optimum %d) after %d visits", res.Optimal, res.Cost, full.Cost, res.Stats.Visited)
 	}
 }

@@ -3,6 +3,7 @@ package hetero
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"time"
 
@@ -25,9 +26,9 @@ import (
 // admissible relaxations of every completion's EDF simulation:
 //
 //   - a critical-path sweep where assigned tasks cost their exact
-//     ExecCost on their processor (plus interprocessor communication on
-//     arcs whose BOTH endpoints are assigned, to distinct processors) and
-//     unassigned tasks cost their affinity-minimum execution time;
+//     execution time on their processor (plus interprocessor communication
+//     on arcs whose BOTH endpoints are assigned, to distinct processors)
+//     and unassigned tasks cost their affinity-minimum execution time;
 //   - a per-processor load bound: the tasks already assigned to q cannot
 //     all finish before minArrival + Σ exec, so some task assigned to q is
 //     at least that far past the latest deadline among them.
@@ -35,12 +36,26 @@ import (
 // Both under-estimate every valid completion (the EDF simulation included),
 // so pruning against the incumbent cost is exact: an uninterrupted run
 // returns the optimal partitioned cost.
+//
+// The sweep is factored so that an expansion pays for one pass and each
+// child for its own in-arcs and the M load terms. Assigned tasks form a
+// topological prefix whose predecessors are all assigned, so a prefix
+// task's finish estimate never changes once it is assigned: it is kept,
+// with the prefix's maximum lateness and every processor's load, earliest
+// arrival and latest deadline, as per-depth state. Every unassigned task m
+// after the branch task t sees t's finish time f_t only through max-plus
+// paths, so its estimate is max(noT_m, f_t + PE_m): noT_m is the estimate
+// on paths that avoid t, PE_m the longest min-exec path from t to m. One
+// pass over the unassigned suffix reduces it to restA = max(noT_m − D_m)
+// and restP = max(PE_m − D_m) over t's descendants, and t's child on q
+// folds them with f_t — the same exact split as core's coneFor.
 
 // Options bounds a partitioned solve.
 type Options struct {
 	// TimeLimit caps the wall-clock search time (0 = none).
 	TimeLimit time.Duration
-	// NodeLimit caps the number of visited assignment vertices (0 = none).
+	// NodeLimit caps the number of visited assignment vertices (0 = none):
+	// the search stops at the first visit beyond it.
 	NodeLimit int64
 }
 
@@ -71,25 +86,31 @@ type Result struct {
 	Stats   Stats
 }
 
+// noPath marks a task the branch task does not reach, and restP when it
+// reaches none. It lies far below MinTime, so the only real values it can
+// stand in for are path terms that could never raise a bound.
+const noPath = taskgraph.Time(math.MinInt64 / 2)
+
 type psolver struct {
-	g    *taskgraph.Graph
-	p    platform.Platform
-	ctx  context.Context
-	opt  Options
-	topo []taskgraph.TaskID
+	g     *taskgraph.Graph
+	p     platform.Platform
+	ctx   context.Context
+	opt   Options
+	topo  []taskgraph.TaskID
+	order []taskgraph.TaskID // the partitioned-EDF placement order
+	st    *sched.State       // leaf simulations, and the flat cost tables
 
-	cur    []platform.Proc // partial assignment, NoProc = unassigned
-	arr    []taskgraph.Time
-	exec   []taskgraph.Time
-	dl     []taskgraph.Time
-	fhat   []taskgraph.Time
-	loadQ  []taskgraph.Time // per-proc Σ exec of assigned tasks (scratch)
-	minAQ  []taskgraph.Time
-	maxDQ  []taskgraph.Time
-	st     *sched.State
-	ready  []taskgraph.TaskID
-	incBuf []platform.Proc
+	cur  []platform.Proc // partial assignment, NoProc = unassigned
+	arr  []taskgraph.Time
+	dl   []taskgraph.Time
+	fhat []taskgraph.Time // finish estimates of the assigned prefix
+	noT  []taskgraph.Time // suffix estimates on paths avoiding the branch task
+	pe   []taskgraph.Time // longest min-exec path from the branch task, or noPath
+	load []taskgraph.Time // per-proc Σ exec of assigned tasks
+	minA []taskgraph.Time // per-proc earliest arrival of assigned tasks
+	maxD []taskgraph.Time // per-proc latest deadline of assigned tasks
 
+	incBuf   []platform.Proc
 	incCost  taskgraph.Time
 	deadline time.Time
 	stopped  bool
@@ -119,23 +140,26 @@ func SolvePartitioned(ctx context.Context, g *taskgraph.Graph, p platform.Platfo
 
 	s := &psolver{
 		g: g, p: p, ctx: ctx, opt: opt, topo: topo,
+		order:  edf.PartitionedOrder(g),
+		st:     sched.NewState(g, p),
 		cur:    make([]platform.Proc, n),
 		arr:    make([]taskgraph.Time, n),
-		exec:   make([]taskgraph.Time, n),
 		dl:     make([]taskgraph.Time, n),
 		fhat:   make([]taskgraph.Time, n),
-		loadQ:  make([]taskgraph.Time, p.M),
-		minAQ:  make([]taskgraph.Time, p.M),
-		maxDQ:  make([]taskgraph.Time, p.M),
-		st:     sched.NewState(g, p),
-		ready:  make([]taskgraph.TaskID, 0, n),
+		noT:    make([]taskgraph.Time, n),
+		pe:     make([]taskgraph.Time, n),
+		load:   make([]taskgraph.Time, p.M),
+		minA:   make([]taskgraph.Time, p.M),
+		maxD:   make([]taskgraph.Time, p.M),
 		incBuf: make([]platform.Proc, n),
 	}
 	for i := 0; i < n; i++ {
 		t := g.Task(taskgraph.TaskID(i))
 		s.arr[i], s.dl[i] = t.Arrival(), t.AbsDeadline()
-		s.exec[i] = t.Exec
 		s.cur[i] = platform.NoProc
+	}
+	for q := 0; q < p.M; q++ {
+		s.minA[q], s.maxD[q] = taskgraph.Infinity, taskgraph.MinTime
 	}
 
 	// Incumbent seed: the global EDF heuristic's induced assignment,
@@ -147,15 +171,15 @@ func SolvePartitioned(ctx context.Context, g *taskgraph.Graph, p platform.Platfo
 	for i := 0; i < n; i++ {
 		s.incBuf[i] = seed.Schedule.Proc(taskgraph.TaskID(i))
 	}
-	s.incCost = edf.PartitionedLmax(s.st, s.incBuf, s.ready)
+	s.incCost = edf.PartitionedLmax(s.st, s.incBuf, s.order)
 	res := Result{Assign: append([]platform.Proc(nil), s.incBuf...)}
 
 	start := time.Now()
 	if opt.TimeLimit > 0 {
 		s.deadline = start.Add(opt.TimeLimit)
 	}
-	res.Lower = s.bound()
-	s.dfs(0)
+	res.Lower = s.rootBound()
+	s.dfs(0, taskgraph.MinTime)
 	s.stats.Elapsed = time.Since(start)
 
 	res.Cost = s.incCost
@@ -177,17 +201,20 @@ func SolvePartitioned(ctx context.Context, g *taskgraph.Graph, p platform.Platfo
 }
 
 // dfs assigns the k-th task in topological order to every allowed
-// processor, bounding and pruning each child.
-func (s *psolver) dfs(k int) {
+// processor, bounding and pruning each child. lat is the assigned prefix's
+// maximum lateness.
+func (s *psolver) dfs(k int, lat taskgraph.Time) {
 	if s.stopped {
 		return
 	}
 	s.stats.Visited++
-	if s.stats.Visited&1023 == 0 {
-		if s.opt.NodeLimit > 0 && s.stats.Visited > s.opt.NodeLimit {
-			s.stopped, s.stats.TimedOut = true, true
-			return
-		}
+	if s.opt.NodeLimit > 0 && s.stats.Visited > s.opt.NodeLimit {
+		s.stopped, s.stats.TimedOut = true, true
+		return
+	}
+	// The clock and the context are polled at the root and every 1024
+	// visits after it.
+	if s.stats.Visited&1023 == 1 {
 		if !s.deadline.IsZero() && time.Now().After(s.deadline) {
 			s.stopped, s.stats.TimedOut = true, true
 			return
@@ -201,83 +228,131 @@ func (s *psolver) dfs(k int) {
 	}
 	if k == len(s.topo) {
 		s.stats.Evaluated++
-		cost := edf.PartitionedLmax(s.st, s.cur, s.ready)
-		if cost < s.incCost {
+		if cost := edf.PartitionedLmax(s.st, s.cur, s.order); cost < s.incCost {
 			s.incCost = cost
 			copy(s.incBuf, s.cur)
 			s.stats.IncumbentUpdates++
 		}
 		return
 	}
-	id := s.topo[k]
-	for mask := s.p.AllowedMask(id); mask != 0; mask &= mask - 1 {
+	t := s.topo[k]
+	restA, restP := s.sweep(k)
+	arr, dl := s.arr[t], s.dl[t]
+	for mask := s.st.AllowedMask(t); mask != 0; mask &= mask - 1 {
 		q := platform.Proc(bits.TrailingZeros64(mask))
-		s.cur[id] = q
-		if lb := s.bound(); lb >= s.incCost {
+		c := s.st.ExecOn(t, q)
+		f := s.start(t, q) + c
+		childLat := lat
+		if f-dl > childLat {
+			childLat = f - dl
+		}
+		lb := suffixBound(childLat, f, restA, restP)
+		load, minA, maxD := s.load[q], s.minA[q], s.maxD[q]
+		s.load[q] += c
+		if arr < minA {
+			s.minA[q] = arr
+		}
+		if dl > maxD {
+			s.maxD[q] = dl
+		}
+		for r := range s.load {
+			if s.load[r] != 0 && s.minA[r]+s.load[r]-s.maxD[r] > lb {
+				lb = s.minA[r] + s.load[r] - s.maxD[r]
+			}
+		}
+		if lb >= s.incCost {
 			s.stats.Pruned++
 		} else {
-			s.dfs(k + 1)
+			s.cur[t], s.fhat[t] = q, f
+			s.dfs(k+1, childLat)
+			s.cur[t] = platform.NoProc
 		}
-		s.cur[id] = platform.NoProc
+		s.load[q], s.minA[q], s.maxD[q] = load, minA, maxD
 		if s.stopped {
 			return
 		}
 	}
 }
 
-// bound computes the admissible lower bound of the current partial
-// assignment (see the package section comment above) in one O(V+E+M)
-// pass.
-func (s *psolver) bound() taskgraph.Time {
-	l := taskgraph.MinTime
-	for q := 0; q < s.p.M; q++ {
-		s.loadQ[q] = 0
-		s.minAQ[q] = taskgraph.Infinity
-		s.maxDQ[q] = taskgraph.MinTime
-	}
-	for _, id := range s.topo {
-		q := s.cur[id]
-		var c taskgraph.Time
-		if q == platform.NoProc {
-			c = s.p.MinExecCost(id, s.exec[id])
-		} else {
-			c = s.p.ExecCost(s.exec[id], q)
-			s.loadQ[q] += c
-			if s.arr[id] < s.minAQ[q] {
-				s.minAQ[q] = s.arr[id]
-			}
-			if s.dl[id] > s.maxDQ[q] {
-				s.maxDQ[q] = s.dl[id]
-			}
-		}
-		floor := s.arr[id]
-		est := floor + c
-		for _, pred := range s.g.Preds(id) {
-			ready := s.fhat[pred]
-			if pq := s.cur[pred]; pq != platform.NoProc && q != platform.NoProc {
-				ready += s.p.CommCost(pq, q, s.g.MessageSize(pred, id))
-			}
-			if ready < floor {
-				ready = floor
-			}
-			if ready+c > est {
-				est = ready + c
-			}
-		}
-		s.fhat[id] = est
-		if lat := est - s.dl[id]; lat > l {
-			l = lat
+// start returns the earliest time the assigned prefix's estimates let
+// task t start on processor q: its arrival, or a predecessor's finish
+// estimate plus the message cost from that predecessor's processor.
+func (s *psolver) start(t taskgraph.TaskID, q platform.Proc) taskgraph.Time {
+	ready := s.arr[t]
+	msgs := s.st.PredMsgs(t)
+	for i, pred := range s.g.Preds(t) {
+		if r := s.fhat[pred] + s.p.CommCost(s.cur[pred], q, msgs[i]); r > ready {
+			ready = r
 		}
 	}
-	for q := 0; q < s.p.M; q++ {
-		if s.loadQ[q] == 0 {
-			continue
+	return ready
+}
+
+// sweep walks the unassigned suffix after the branch task t = topo[k] once,
+// in topological order, and returns the two scalars every child of t
+// shares (see the section comment above): restA = max(noT_m − D_m) over
+// the suffix and restP = max(PE_m − D_m) over t's descendants in it, noPath
+// when t has none. Predecessors in the assigned prefix enter with their
+// kept estimates and no message cost, since m is unassigned.
+func (s *psolver) sweep(k int) (restA, restP taskgraph.Time) {
+	t := s.topo[k]
+	restA, restP = taskgraph.MinTime, noPath
+	for _, m := range s.topo[k+1:] {
+		noT, pe := s.arr[m], noPath
+		for _, pred := range s.g.Preds(m) {
+			switch {
+			case pred == t:
+				if pe < 0 {
+					pe = 0
+				}
+			case s.cur[pred] != platform.NoProc:
+				if s.fhat[pred] > noT {
+					noT = s.fhat[pred]
+				}
+			default:
+				if s.noT[pred] > noT {
+					noT = s.noT[pred]
+				}
+				if s.pe[pred] > pe {
+					pe = s.pe[pred]
+				}
+			}
 		}
-		if lat := s.minAQ[q] + s.loadQ[q] - s.maxDQ[q]; lat > l {
-			l = lat
+		c := s.st.MinExec(m)
+		noT += c
+		if noT-s.dl[m] > restA {
+			restA = noT - s.dl[m]
 		}
+		if pe != noPath {
+			pe += c
+			if pe-s.dl[m] > restP {
+				restP = pe - s.dl[m]
+			}
+		}
+		s.noT[m], s.pe[m] = noT, pe
 	}
-	return l
+	return restA, restP
+}
+
+// suffixBound raises lb to the largest lateness the sweep's scalars allow
+// the unassigned suffix once the branch task finishes at f.
+func suffixBound(lb, f, restA, restP taskgraph.Time) taskgraph.Time {
+	if restA > lb {
+		lb = restA
+	}
+	if restP != noPath && f+restP > lb {
+		lb = f + restP
+	}
+	return lb
+}
+
+// rootBound is the bound of the empty assignment: the first branch task
+// has no predecessors and, unassigned, costs its minimum execution time.
+func (s *psolver) rootBound() taskgraph.Time {
+	t := s.topo[0]
+	f := s.arr[t] + s.st.MinExec(t)
+	restA, restP := s.sweep(0)
+	return suffixBound(f-s.dl[t], f, restA, restP)
 }
 
 // BruteLimit bounds the assignment vectors a BruteForcePartitioned call
@@ -300,7 +375,7 @@ func BruteForcePartitioned(g *taskgraph.Graph, p platform.Platform) (Result, err
 		return Result{}, err
 	}
 	st := sched.NewState(g, p)
-	ready := make([]taskgraph.TaskID, 0, n)
+	order := edf.PartitionedOrder(g)
 	assign := make([]platform.Proc, n)
 	res := Result{Cost: taskgraph.Infinity, Optimal: true}
 
@@ -316,7 +391,7 @@ func BruteForcePartitioned(g *taskgraph.Graph, p platform.Platform) (Result, err
 				overflow = true
 				return
 			}
-			cost := edf.PartitionedLmax(st, assign, ready)
+			cost := edf.PartitionedLmax(st, assign, order)
 			if cost < res.Cost {
 				res.Cost = cost
 				res.Assign = append(res.Assign[:0], assign...)

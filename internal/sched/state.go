@@ -227,6 +227,12 @@ func (s *State) MinExec(id taskgraph.TaskID) taskgraph.Time {
 	return s.minExec[id]
 }
 
+// PredMsgs returns the message sizes on the task's incoming arcs, aligned
+// with G.Preds(id): element k is the size on Preds(id)[k] → id. It is the
+// state's own flattened table, read in place of the graph's channel map;
+// the caller must not modify it.
+func (s *State) PredMsgs(id taskgraph.TaskID) []taskgraph.Time { return s.predMsg[id] }
+
 // Allows reports whether the task may execute on processor q.
 func (s *State) Allows(id taskgraph.TaskID, q platform.Proc) bool {
 	return s.aff == nil || s.aff[id]>>uint(q)&1 == 1
