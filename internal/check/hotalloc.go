@@ -46,16 +46,19 @@ var hotAllocDefaultFunctions = map[string][]string{
 		"coneFor", "restFor", "alloc", "materialize", "tasks", "insertChildren",
 		// The one child generator of every search driver.
 		"generate",
+		// The bound of every child on a heterogeneous platform; its tables
+		// are built once per solve, by newBounder.
+		"boundHetero",
 	},
 	// The transposition table is probed for every generated child and
 	// stored for every expansion of a dedup search; table allocation and
 	// recycling (New, Acquire, Release) live in separate, cold functions.
 	"internal/transpose": {"Probe", "Store"},
-	// The partitioned search: its vertex loop, the per-expansion suffix
-	// sweep, the per-child start time and bound fold, and the leaf
-	// simulation. Per-solve set-up (SolvePartitioned, PartitionedOrder) is
-	// cold.
-	"internal/hetero": {"dfs", "sweep", "start", "suffixBound"},
+	// The partitioned search: its vertex loop and symmetry mask, the
+	// per-expansion suffix sweep, the per-child start time and bound fold,
+	// and the leaf simulation. Per-solve set-up (SolvePartitioned,
+	// PartitionedOrder) is cold.
+	"internal/hetero": {"dfs", "twins", "sweep", "start", "suffixBound"},
 	"internal/edf":    {"PartitionedLmax"},
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
 )
@@ -23,7 +24,8 @@ import (
 // new task under the append-only §4.3 operation — is included only by LB1.
 // Communication costs are optimistically zero (the tasks might share a
 // processor), keeping both bounds admissible. The vertex bound is then
-// L̂ = max{f̂_i − D_i} over ALL tasks, scheduled and not.
+// L̂ = max{f̂_i − D_i} over ALL tasks, scheduled and not. (Heterogeneous
+// platforms take boundHetero's processor-coupled form of the same sweep.)
 //
 // Two evaluation regimes share that definition:
 //
@@ -82,7 +84,19 @@ type bounder struct {
 	exec []taskgraph.Time
 	dl   []taskgraph.Time
 
-	// Cone machinery, all lazily sized so the reference kernel never pays.
+	// boundHetero's tables, flattened out of the state by newBounder on
+	// heterogeneous platforms and nil otherwise. Under LB1, hetExec[i*M+q]
+	// is task i's execution time on processor q, task-major so one task's
+	// M entries are adjacent, and Infinity where its affinity mask bars q;
+	// free holds the processors' ProcFree, read once per bound. Under LB0,
+	// minExec is each task's least execution time over its allowed
+	// processors.
+	hetExec []taskgraph.Time
+	free    []taskgraph.Time
+	minExec []taskgraph.Time
+
+	// Cone machinery, all lazily sized so the reference kernel and
+	// heterogeneous platforms never pay.
 	// baseLv[k]/chainLv[k] snapshot the decomposition for the trail prefix
 	// of length k (level 0 = empty schedule, computed analytically);
 	// snapTrail/pos record which trail the levels describe and validDepth
@@ -123,7 +137,9 @@ type bounder struct {
 // single snapshot refreshed by one sweep per expansion.
 const maxSnapLevels = 128
 
-func newBounder(g *taskgraph.Graph, mode BoundFunc) *bounder {
+// newBounder builds the bounder of a search over st's graph and platform.
+func newBounder(st *sched.State, mode BoundFunc) *bounder {
+	g := st.G
 	topo, err := g.TopoOrder()
 	if err != nil {
 		panic(fmt.Errorf("core: bounder on unvalidated graph: %w", err)) // Solve validated the graph already
@@ -136,25 +152,44 @@ func newBounder(g *taskgraph.Graph, mode BoundFunc) *bounder {
 		t := g.Task(taskgraph.TaskID(i))
 		arr[i], exec[i], dl[i] = t.Arrival(), t.Exec, t.AbsDeadline()
 	}
-	return &bounder{
+	b := &bounder{
 		g: g, topo: topo, mode: mode,
 		fhat:       make([]taskgraph.Time, n),
 		arr:        arr,
 		exec:       exec,
 		dl:         dl,
 		validDepth: -1,
-		restBase:   make([]taskgraph.Time, n),
-		restChain:  make([]taskgraph.Time, n),
-		restEpoch:  make([]uint64, n),
-		restMark:   make([]uint64, n),
-		coneA:      make([]taskgraph.Time, n),
-		coneP:      make([]taskgraph.Time, n),
-		coneC:      make([]taskgraph.Time, n),
-		coneEpoch:  make([]uint64, n),
-		walkNoT:    make([]taskgraph.Time, n),
-		walkPE:     make([]taskgraph.Time, n),
-		walkChain:  make([]taskgraph.Time, n),
-		walkMark:   make([]uint64, n),
+	}
+	if st.Hetero() {
+		b.initHetero(st)
+	}
+	return b
+}
+
+// initHetero flattens the tables boundHetero reads under the bounder's
+// mode out of st.
+func (b *bounder) initHetero(st *sched.State) {
+	n := len(b.arr)
+	switch b.mode {
+	case BoundLB0:
+		b.minExec = make([]taskgraph.Time, n)
+		for i := range b.minExec {
+			b.minExec[i] = st.MinExec(taskgraph.TaskID(i))
+		}
+	case BoundLB1:
+		m := st.P.M
+		b.hetExec = make([]taskgraph.Time, n*m)
+		b.free = make([]taskgraph.Time, m)
+		for i := 0; i < n; i++ {
+			id := taskgraph.TaskID(i)
+			for q := 0; q < m; q++ {
+				c := taskgraph.Infinity // never the minimum: some processor is allowed
+				if st.Allows(id, platform.Proc(q)) {
+					c = st.ExecOn(id, platform.Proc(q))
+				}
+				b.hetExec[i*m+q] = c
+			}
+		}
 	}
 }
 
@@ -204,37 +239,51 @@ func (b *bounder) bound(st *sched.State) taskgraph.Time {
 	return l
 }
 
-// boundHetero is the heterogeneous-platform generalization of the sweep:
-// LB1's single ℓ_min becomes a per-task ℓ_i — the earliest free time over
-// the processors the task's affinity mask allows — and each task's
-// execution demand relaxes to its minimum over those processors. Both
-// substitutions only lower individual terms relative to any real schedule,
-// so the bound stays admissible; with unit speeds and universal affinities
-// this function is never reached (State.Hetero() is false) and the
-// homogeneous sweep runs untouched.
+// boundHetero is the heterogeneous-platform form of the sweep. Under LB1
+// each unscheduled task is coupled to the processors it may run on:
+//
+//	f̂_i = min over allowed q of ( max(ready_i, ProcFree(q)) + ExecOn(i, q) )
+//	ready_i = max(a_i, f̂ of its direct predecessors)
+//
+// It is admissible: ProcFree only grows under the append-only operation and
+// messages cost ≥ 0, so wherever a completion places τ_i, on some allowed
+// q, it starts no earlier than max(ready_i, ProcFree(q)) and runs for
+// ExecOn(i, q). It is never looser than pairing the earliest-free allowed
+// processor with the fastest allowed one (each term of the min is at least
+// that), and on identical processors, where every ExecOn is c_i, it is
+// exactly LB1's max(ready_i, ℓ_min) + c_i. Under LB0 the task's demand
+// relaxes to its minimum over allowed processors: ready_i + MinExec(i).
+// With unit speeds and universal affinities this function is never reached
+// (State.Hetero() is false) and the homogeneous sweep runs untouched.
 func (b *bounder) boundHetero(st *sched.State, l taskgraph.Time) taskgraph.Time {
 	lb1 := b.mode == BoundLB1
+	if lb1 {
+		for q := range b.free {
+			b.free[q] = st.ProcFree(platform.Proc(q))
+		}
+	}
+	m := len(b.free)
 	for _, id := range b.topo {
 		if st.Placed(id) {
 			b.fhat[id] = st.Finish(id)
 			continue
 		}
-		floor := b.arr[id]
-		if lb1 {
-			if li := st.EarliestProcFreeFor(id); li > floor {
-				floor = li
+		ready := b.arr[id]
+		for _, pred := range b.g.Preds(id) {
+			if f := b.fhat[pred]; f > ready {
+				ready = f
 			}
 		}
-		c := st.MinExec(id)
-		est := floor + c
-		for _, pred := range b.g.Preds(id) {
-			ready := b.fhat[pred]
-			if ready < floor {
-				ready = floor
+		var est taskgraph.Time
+		if lb1 {
+			row := b.hetExec[int(id)*m : int(id)*m+m]
+			free := b.free[:len(row)]
+			est = taskgraph.Infinity
+			for q, c := range row {
+				est = min(est, max(ready, free[q])+c)
 			}
-			if ready+c > est {
-				est = ready + c
-			}
+		} else {
+			est = ready + b.minExec[id]
 		}
 		b.fhat[id] = est
 		if lat := est - b.dl[id]; lat > l {
@@ -256,28 +305,14 @@ func (b *bounder) beginExpand(st *sched.State) {
 		// snapshots are ever needed.
 		return
 	}
-	n := b.g.NumTasks()
 	if b.desc == nil {
-		b.desc = newDescSets(b.g, b.topo)
-		b.pos = make([]int32, n)
-		for i := range b.pos {
-			b.pos[i] = -1
-		}
-		b.snapTrail = make([]sched.TrailView, 0, n)
+		b.initCone()
 	}
+	n := b.g.NumTasks()
 	if n > maxSnapLevels {
 		// No level stack: one decomposition sweep per expansion.
 		b.snapBase, b.snapChain = b.sweepInto(st, b.snapBase, b.snapChain)
 		return
-	}
-	if b.baseLv == nil {
-		flat := make([]taskgraph.Time, 2*(n+1)*n)
-		b.baseLv = make([][]taskgraph.Time, n+1)
-		b.chainLv = make([][]taskgraph.Time, n+1)
-		for k := 0; k <= n; k++ {
-			b.baseLv[k] = flat[2*k*n : (2*k+1)*n : (2*k+1)*n]
-			b.chainLv[k] = flat[(2*k+1)*n : (2*k+2)*n : (2*k+2)*n]
-		}
 	}
 	if b.validDepth < 0 {
 		b.sweepInto(nil, b.baseLv[0], b.chainLv[0]) // empty schedule, analytically
@@ -310,6 +345,40 @@ func (b *bounder) beginExpand(st *sched.State) {
 	}
 	b.validDepth = depth
 	b.snapBase, b.snapChain = b.baseLv[depth], b.chainLv[depth]
+}
+
+// initCone sizes the cone machinery on the first homogeneous expansion, so
+// the reference kernel and heterogeneous platforms never pay for it.
+func (b *bounder) initCone() {
+	n := b.g.NumTasks()
+	b.desc = newDescSets(b.g, b.topo)
+	b.pos = make([]int32, n)
+	for i := range b.pos {
+		b.pos[i] = -1
+	}
+	b.snapTrail = make([]sched.TrailView, 0, n)
+	b.restBase = make([]taskgraph.Time, n)
+	b.restChain = make([]taskgraph.Time, n)
+	b.restEpoch = make([]uint64, n)
+	b.restMark = make([]uint64, n)
+	b.coneA = make([]taskgraph.Time, n)
+	b.coneP = make([]taskgraph.Time, n)
+	b.coneC = make([]taskgraph.Time, n)
+	b.coneEpoch = make([]uint64, n)
+	b.walkNoT = make([]taskgraph.Time, n)
+	b.walkPE = make([]taskgraph.Time, n)
+	b.walkChain = make([]taskgraph.Time, n)
+	b.walkMark = make([]uint64, n)
+	if n > maxSnapLevels {
+		return
+	}
+	flat := make([]taskgraph.Time, 2*(n+1)*n)
+	b.baseLv = make([][]taskgraph.Time, n+1)
+	b.chainLv = make([][]taskgraph.Time, n+1)
+	for k := 0; k <= n; k++ {
+		b.baseLv[k] = flat[2*k*n : (2*k+1)*n : (2*k+1)*n]
+		b.chainLv[k] = flat[(2*k+1)*n : (2*k+2)*n : (2*k+2)*n]
+	}
 }
 
 // commitLevel derives level k+1 from level k: copy, then place the trail's

@@ -66,7 +66,7 @@ func EnumerateFrontier(g *taskgraph.Graph, plat platform.Platform, p Params, tar
 	if target < 1 {
 		return Frontier{}, fmt.Errorf("core: frontier target %d < 1", target)
 	}
-	inc, err := prepare(g, plat, p, func() error {
+	e, inc, err := prepare(g, plat, p, func() error {
 		switch {
 		case p.Prefix != nil || p.Link != nil || p.Observer != nil:
 			return fmt.Errorf("core: frontier expansion does not support Prefix, Link or Observer")
@@ -83,7 +83,6 @@ func EnumerateFrontier(g *taskgraph.Graph, plat platform.Platform, p Params, tar
 
 	// The expansion keeps no transposition table, even under Dedup: the
 	// searches of the slices do.
-	e := newExpander(g, plat, p)
 	e.pol = &inc
 	queue := []*vertex{{lb: taskgraph.MinTime, task: taskgraph.NoTask, proc: platform.NoProc}}
 	var kids []child

@@ -37,7 +37,7 @@ import (
 // the O(n) memory guarantee; DuplicateFree removes Dedup's duplicates
 // without one).
 func SolveIDA(g *taskgraph.Graph, plat platform.Platform, p Params) (Result, error) {
-	inc, err := prepare(g, plat, p, func() error {
+	e, inc, err := prepare(g, plat, p, func() error {
 		switch {
 		case p.Dominance:
 			return fmt.Errorf("core: dominance rule is not supported by iterative deepening")
@@ -56,7 +56,7 @@ func SolveIDA(g *taskgraph.Graph, plat platform.Platform, p Params) (Result, err
 		return Result{}, err
 	}
 
-	s := &idaSolver{expander: newExpander(g, plat, p), inc: inc}
+	s := &idaSolver{expander: e, inc: inc}
 	s.pol = &s.inc
 
 	start := time.Now() //bbvet:ignore nondet (wall-clock only feeds Stats.Elapsed and the deadline)

@@ -69,45 +69,47 @@ func PruneLimit(c taskgraph.Time, br float64) taskgraph.Time {
 
 // prepare runs the validation every driver shares — Params, the platform
 // against the graph, acyclicity, a non-empty graph — then the driver's own
-// rejections, and seeds the incumbent with the upper-bound solution cost U
-// (Steps 1–2 of Figure 1).
-func prepare(g *taskgraph.Graph, plat platform.Platform, p Params, rejects func() error) (incumbent, error) {
+// rejections, builds the driver's kernel, and seeds the incumbent with the
+// upper-bound solution cost U (Steps 1–2 of Figure 1). The EDF seed runs on
+// the kernel's own state, which the search then takes over.
+func prepare(g *taskgraph.Graph, plat platform.Platform, p Params, rejects func() error) (expander, incumbent, error) {
 	inc := incumbent{br: p.BR}
 	if err := p.Validate(); err != nil {
-		return inc, err
+		return expander{}, inc, err
 	}
 	if err := plat.ValidateFor(g.NumTasks()); err != nil {
-		return inc, err
+		return expander{}, inc, err
 	}
 	if _, err := g.TopoOrder(); err != nil {
-		return inc, err
+		return expander{}, inc, err
 	}
 	if g.NumTasks() == 0 {
-		return inc, fmt.Errorf("core: empty task graph")
+		return expander{}, inc, fmt.Errorf("core: empty task graph")
 	}
 	if err := rejects(); err != nil {
-		return inc, err
+		return expander{}, inc, err
 	}
+	e := newExpander(g, plat, p)
 	switch p.UpperBound {
 	case UpperBoundEDF:
-		cost, schedule, err := edf.UpperBound(g, plat)
-		if err != nil {
-			return inc, err
+		if err := edf.ScheduleOn(e.st); err != nil {
+			return expander{}, inc, err
 		}
-		inc.cost, inc.seed = cost, schedule
+		inc.cost, inc.seed = e.st.Lmax(), e.st.Snapshot()
+		e.st.Reset() // every driver starts from the empty schedule
 	case UpperBoundFixed:
 		inc.cost = p.FixedUpperBound
 	case UpperBoundSeeded:
 		seed := p.SeedSchedule
 		if !seed.Complete() || seed.Graph != g {
-			return inc, fmt.Errorf("core: seed schedule incomplete or over a different graph")
+			return expander{}, inc, fmt.Errorf("core: seed schedule incomplete or over a different graph")
 		}
 		if err := seed.Check(); err != nil {
-			return inc, fmt.Errorf("core: invalid seed schedule: %w", err)
+			return expander{}, inc, fmt.Errorf("core: invalid seed schedule: %w", err)
 		}
 		inc.cost, inc.seed = seed.Lmax(), seed
 	}
-	return inc, nil
+	return e, inc, nil
 }
 
 // result assembles a driver's Result. The best adopted goal is replayed on
@@ -190,10 +192,11 @@ const maxTime = taskgraph.Time(1<<63 - 1)
 // newExpander builds the kernel for one searcher, without a
 // transposition table: Solve installs one under Params.Dedup.
 func newExpander(g *taskgraph.Graph, plat platform.Platform, p Params) expander {
+	st := sched.NewState(g, plat)
 	e := expander{
 		plat: plat, p: p, n: int32(g.NumTasks()),
-		st:        sched.NewState(g, plat),
-		bnd:       newBounder(g, p.Bound),
+		st:        st,
+		bnd:       newBounder(st, p.Bound),
 		br:        newBrancher(g, p.Branching),
 		threshold: maxTime,
 	}

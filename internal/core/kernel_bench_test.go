@@ -106,7 +106,7 @@ func BenchmarkKernelBound(b *testing.B) {
 	ready = st.ReadyTasks(ready[:0])
 
 	b.Run("cone", func(b *testing.B) {
-		bnd := newBounder(g, BoundLB1)
+		bnd := newBounder(st, BoundLB1)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			bnd.beginExpand(st)
@@ -120,7 +120,7 @@ func BenchmarkKernelBound(b *testing.B) {
 		}
 	})
 	b.Run("fullsweep", func(b *testing.B) {
-		bnd := newBounder(g, BoundLB1)
+		bnd := newBounder(st, BoundLB1)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, id := range ready {
@@ -131,6 +131,40 @@ func BenchmarkKernelBound(b *testing.B) {
 				}
 			}
 		}
+	})
+	// The same graph parked on the hetero-mix platform, where every child
+	// pays boundHetero's processor-coupled sweep; ns/child is its cost
+	// apart from how many children a search generates.
+	b.Run("hetero", func(b *testing.B) {
+		hp := benchHeteroPlatform(g.NumTasks())
+		hs := sched.NewState(g, hp)
+		for hs.NumPlaced() < g.NumTasks()/2 {
+			id := hs.ReadyTasks(nil)[0]
+			q := platform.Proc(hs.NumPlaced() % hp.M)
+			if !hs.Allows(id, q) {
+				q++
+			}
+			hs.Place(id, q)
+		}
+		hready := hs.ReadyTasks(nil)
+		bnd := newBounder(hs, BoundLB1)
+		children := 0
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			bnd.beginExpand(hs)
+			for _, id := range hready {
+				for q := platform.Proc(0); int(q) < hp.M; q++ {
+					if !hs.Allows(id, q) {
+						continue
+					}
+					hs.Place(id, q)
+					_ = bnd.boundChild(hs, id)
+					hs.Undo()
+					children++
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(children), "ns/child")
 	})
 }
 

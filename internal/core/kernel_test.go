@@ -55,8 +55,8 @@ func TestKernelDifferential(t *testing.T) {
 	graphs := paperWorkloads(t, 3, 777)
 	graphs = append(graphs, smallWorkloads(t, 3, 41)...)
 	for gi, g := range graphs {
-		for _, m := range []int{2, 3} {
-			plat := platform.New(m)
+		for _, plat := range []platform.Platform{platform.New(2), platform.New(3), benchHeteroPlatform(g.NumTasks())} {
+			m := plat.M
 			for _, p := range combos {
 				if p.Selection == SelectFIFO && g.NumTasks() > 9 {
 					continue // FIFO × BFn materializes the full tree; fuzzcheck covers it on small n
@@ -97,27 +97,42 @@ func TestKernelDifferential(t *testing.T) {
 // every pruned child.
 func TestKernelEventsIdentical(t *testing.T) {
 	for _, g := range smallWorkloads(t, 4, 97) {
-		for _, p := range []Params{{}, {Selection: SelectLLB}, {BR: 0.2}} {
-			record := func(pp Params) []Event {
-				var evs []Event
-				pp.Observer = func(e Event) { evs = append(evs, e) }
-				mustSolve(t, g, platform.New(2), pp)
-				return evs
-			}
-			opt := record(p)
-			pr := p
-			pr.ReferenceKernel = true
-			ref := record(pr)
-			if len(opt) != len(ref) {
-				t.Fatalf("%v: %d events optimized vs %d reference", p, len(opt), len(ref))
-			}
-			for i := range opt {
-				if opt[i] != ref[i] {
-					t.Fatalf("%v: event %d diverges: optimized %+v reference %+v", p, i, opt[i], ref[i])
+		for _, plat := range []platform.Platform{platform.New(2), benchHeteroPlatform(g.NumTasks())} {
+			for _, p := range []Params{{}, {Selection: SelectLLB}, {BR: 0.2}} {
+				record := func(pp Params) []Event {
+					var evs []Event
+					pp.Observer = func(e Event) { evs = append(evs, e) }
+					mustSolve(t, g, plat, pp)
+					return evs
+				}
+				opt := record(p)
+				pr := p
+				pr.ReferenceKernel = true
+				ref := record(pr)
+				if len(opt) != len(ref) {
+					t.Fatalf("%v m=%d: %d events optimized vs %d reference", p, plat.M, len(opt), len(ref))
+				}
+				for i := range opt {
+					if opt[i] != ref[i] {
+						t.Fatalf("%v m=%d: event %d diverges: optimized %+v reference %+v", p, plat.M, i, opt[i], ref[i])
+					}
 				}
 			}
 		}
 	}
+}
+
+// benchHeteroPlatform is the benchmark's hetero-mix platform: speed
+// factors 1, 2, 1, 2, with every fourth task barred from processor 0.
+func benchHeteroPlatform(n int) platform.Platform {
+	p := platform.Platform{M: 4, CommDelay: 1, Speed: []float64{1, 2, 1, 2}, Affinity: make([]uint64, n)}
+	for id := range p.Affinity {
+		p.Affinity[id] = 0b1111
+		if id%4 == 3 {
+			p.Affinity[id] = 0b1110
+		}
+	}
+	return p
 }
 
 // TestConeBoundMatchesFullSweep drives the bounder pair directly: from
@@ -131,8 +146,8 @@ func TestConeBoundMatchesFullSweep(t *testing.T) {
 			plat := platform.New(m)
 			for _, mode := range []BoundFunc{BoundLB0, BoundLB1, BoundNone} {
 				st := sched.NewState(g, plat)
-				full := newBounder(g, mode)
-				cone := newBounder(g, mode)
+				full := newBounder(st, mode)
+				cone := newBounder(st, mode)
 				var ready []taskgraph.TaskID
 				for depth := 0; ; depth++ {
 					ready = st.ReadyTasks(ready[:0])

@@ -64,7 +64,7 @@ func SolveParallelContext(ctx context.Context, g *taskgraph.Graph, plat platform
 		ctx = context.Background()
 	}
 	p := pp.Params
-	inc, err := prepare(g, plat, p, func() error {
+	e, inc, err := prepare(g, plat, p, func() error {
 		switch {
 		case p.Dominance:
 			return fmt.Errorf("core: dominance rule is not supported by the parallel solver")
@@ -96,7 +96,7 @@ func SolveParallelContext(ctx context.Context, g *taskgraph.Graph, plat platform
 	if p.Resources.TimeLimit > 0 {
 		ps.deadline = start.Add(p.Resources.TimeLimit)
 	}
-	err = ps.run() // returns only after every worker has joined
+	err = ps.run(e) // returns only after every worker has joined
 	var stats Stats
 	for _, w := range ps.ws {
 		stats.add(w.stats)
@@ -152,7 +152,9 @@ type parSolver struct {
 	canceled atomic.Bool
 }
 
-func (ps *parSolver) run() (err error) {
+// run searches with the seeding worker on prepare's kernel, then with the
+// pool workers.
+func (ps *parSolver) run(seeder expander) (err error) {
 	ps.poolCond = sync.NewCond(&ps.poolMu)
 
 	// The seeding pass runs on the caller's goroutine; recover its panics
@@ -166,7 +168,7 @@ func (ps *parSolver) run() (err error) {
 	// Seed the pool by expanding breadth-first from the root with a
 	// throwaway sequential worker until the frontier is wide enough.
 	seedTarget := ps.workers * 8
-	w := newParWorker(ps, 0)
+	w := newParWorker(ps, 0, seeder)
 	frontier := []*vertex{{lb: taskgraph.MinTime, task: taskgraph.NoTask, proc: platform.NoProc}}
 	for len(frontier) > 0 && len(frontier) < seedTarget {
 		if ps.ctx.Err() != nil {
@@ -186,7 +188,7 @@ func (ps *parSolver) run() (err error) {
 	var wg sync.WaitGroup
 	errs := make([]error, ps.workers)
 	for i := 0; i < ps.workers; i++ {
-		w := newParWorker(ps, i+1)
+		w := newParWorker(ps, i+1, newExpander(ps.g, ps.plat, ps.p))
 		wg.Add(1)
 		go func(idx int) {
 			defer wg.Done()
@@ -224,14 +226,14 @@ type parWorker struct {
 	iter  int
 }
 
-// newParWorker builds worker machinery with a private seq namespace: the
+// newParWorker builds a worker on kernel e with a private seq namespace: the
 // worker index occupies the high bits, so vertex identities (and therefore
 // observer event Seqs) stay unique across concurrently emitting workers
 // without an atomic counter on the hot path. Each worker would need to
 // generate 2^48 vertices to collide. The worker is registered in ps.ws so
 // its Stats are summed after the join.
-func newParWorker(ps *parSolver, idx int) *parWorker {
-	w := &parWorker{expander: newExpander(ps.g, ps.plat, ps.p), ps: ps}
+func newParWorker(ps *parSolver, idx int, e expander) *parWorker {
+	w := &parWorker{expander: e, ps: ps}
 	w.seq = uint64(idx) << 48
 	w.pol = w
 	ps.ws = append(ps.ws, w)

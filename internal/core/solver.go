@@ -169,7 +169,7 @@ func SolveContext(ctx context.Context, g *taskgraph.Graph, plat platform.Platfor
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	inc, err := prepare(g, plat, p, func() error {
+	e, inc, err := prepare(g, plat, p, func() error {
 		if p.Dominance && g.NumTasks() > 63 {
 			return fmt.Errorf("core: dominance rule supports at most 63 tasks, graph has %d", g.NumTasks())
 		}
@@ -180,7 +180,7 @@ func SolveContext(ctx context.Context, g *taskgraph.Graph, plat platform.Platfor
 	}
 
 	s := &solver{
-		expander: newExpander(g, plat, p),
+		expander: e,
 		ctx:      ctx,
 		as:       newActiveSet(p.Selection, p.LLBTie),
 		inc:      inc,

@@ -39,6 +39,7 @@ type Result struct {
 // for structurally unusable inputs (cyclic graph, bad platform); a complete
 // schedule always exists for a valid DAG because the operation never rejects
 // a placement — deadline misses surface as positive lateness, not errors.
+// It is the validating, allocating wrapper of ScheduleOn.
 func Schedule(g *taskgraph.Graph, p platform.Platform) (Result, error) {
 	if err := p.ValidateFor(g.NumTasks()); err != nil {
 		return Result{}, err
@@ -47,12 +48,25 @@ func Schedule(g *taskgraph.Graph, p platform.Platform) (Result, error) {
 		return Result{}, err
 	}
 	st := sched.NewState(g, p)
+	if err := ScheduleOn(st); err != nil {
+		return Result{}, err
+	}
+	return Result{Schedule: st.Snapshot(), Lmax: st.Lmax(), Steps: g.NumTasks()}, nil
+}
+
+// ScheduleOn resets st and runs the EDF heuristic on it, leaving the
+// complete schedule in st: its Lmax is the paper's initial upper-bound
+// solution cost U, and a search that seeds its incumbent this way can go
+// on to search with the same state instead of building another.
+func ScheduleOn(st *sched.State) error {
+	g, p := st.G, st.P
+	st.Reset()
 	n := g.NumTasks()
 	ready := make([]taskgraph.TaskID, 0, n)
 	for step := 0; step < n; step++ {
 		ready = st.ReadyTasks(ready[:0])
 		if len(ready) == 0 {
-			return Result{}, fmt.Errorf("edf: no ready task at step %d of %d (graph inconsistent)", step, n)
+			return fmt.Errorf("edf: no ready task at step %d of %d (graph inconsistent)", step, n)
 		}
 		// Closest absolute deadline, smallest ID on ties. ReadyTasks yields
 		// ascending IDs, so strict < keeps the first (smallest) ID.
@@ -79,17 +93,5 @@ func Schedule(g *taskgraph.Graph, p platform.Platform) (Result, error) {
 		}
 		st.Place(best, bestProc)
 	}
-	return Result{Schedule: st.Snapshot(), Lmax: st.Lmax(), Steps: n}, nil
-}
-
-// UpperBound returns the EDF schedule's maximum lateness, the initial
-// upper-bound solution cost U recommended by the paper. The second return
-// is the schedule itself so callers can seed the incumbent solution, not
-// just its cost.
-func UpperBound(g *taskgraph.Graph, p platform.Platform) (taskgraph.Time, *sched.Schedule, error) {
-	res, err := Schedule(g, p)
-	if err != nil {
-		return 0, nil, err
-	}
-	return res.Lmax, res.Schedule, nil
+	return nil
 }

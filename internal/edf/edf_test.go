@@ -6,6 +6,7 @@ import (
 	"repro/internal/deadline"
 	"repro/internal/gen"
 	"repro/internal/platform"
+	"repro/internal/sched"
 	"repro/internal/taskgraph"
 )
 
@@ -110,17 +111,31 @@ func TestEDFRejectsBadInputs(t *testing.T) {
 	}
 }
 
-func TestUpperBound(t *testing.T) {
-	g := taskgraph.Diamond()
-	u, s, err := UpperBound(g, platform.New(2))
+// ScheduleOn resets whatever the state holds and leaves Schedule's
+// schedule in it: the same placements, hence the same Lmax, as a fresh
+// state's.
+func TestScheduleOnResetsAndMatchesSchedule(t *testing.T) {
+	g := taskgraph.ForkJoin(4, 10, 1)
+	p := platform.New(2)
+	want, err := Schedule(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s == nil || !s.Complete() {
-		t.Fatal("upper bound without a complete incumbent")
+	st := sched.NewState(g, p)
+	st.Place(0, 1)
+	st.Place(3, 0)
+	if err := ScheduleOn(st); err != nil {
+		t.Fatal(err)
 	}
-	if u != s.Lmax() {
-		t.Fatalf("U=%d != schedule Lmax %d", u, s.Lmax())
+	if st.NumPlaced() != g.NumTasks() || st.Lmax() != want.Lmax {
+		t.Fatalf("ScheduleOn: %d placed, Lmax %d; Schedule: Lmax %d", st.NumPlaced(), st.Lmax(), want.Lmax)
+	}
+	for id := 0; id < g.NumTasks(); id++ {
+		tid := taskgraph.TaskID(id)
+		if st.Proc(tid) != want.Schedule.Proc(tid) || st.Start(tid) != want.Schedule.Start(tid) {
+			t.Fatalf("task %d: ScheduleOn p%d@%d, Schedule p%d@%d", id,
+				st.Proc(tid), st.Start(tid), want.Schedule.Proc(tid), want.Schedule.Start(tid))
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package hetero
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bruteforce"
@@ -360,34 +361,13 @@ func TestUnitSpecIdenticalToLegacy(t *testing.T) {
 }
 
 // Node limits and cancellation exit through the anytime contract: the
-// best incumbent, Optimal=false. The instance needs 891 visits, so every
+// best incumbent, Optimal=false. The instance needs 545 visits, so every
 // limit below binds, though none reaches 1024, where the clock and the
 // context are polled.
 func TestSolvePartitionedAnytime(t *testing.T) {
 	g := gen.New(gen.Defaults(), 7000).Graph()
 	p := benchPlatform(g.NumTasks())
-	full, err := SolvePartitioned(nil, g, p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !full.Optimal || full.Stats.Visited <= 100 {
-		t.Fatalf("unbounded search: optimal=%v after %d visits; the limits below must bind", full.Optimal, full.Stats.Visited)
-	}
-	for _, limit := range []int64{1, 100, full.Stats.Visited - 1} {
-		res, err := SolvePartitioned(nil, g, p, Options{NodeLimit: limit})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Optimal || !res.Stats.TimedOut {
-			t.Errorf("NodeLimit %d: optimal=%v timedOut=%v after %d visits", limit, res.Optimal, res.Stats.TimedOut, res.Stats.Visited)
-		}
-		if res.Stats.Visited > limit+1 {
-			t.Errorf("NodeLimit %d: %d visits", limit, res.Stats.Visited)
-		}
-		if res.Schedule == nil || res.Cost < full.Cost {
-			t.Errorf("NodeLimit %d: cost %d beats the optimum %d (schedule %v)", limit, res.Cost, full.Cost, res.Schedule != nil)
-		}
-	}
+	full := checkNodeLimits(t, "bench", g, p)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -397,5 +377,99 @@ func TestSolvePartitionedAnytime(t *testing.T) {
 	}
 	if res.Optimal || res.Schedule == nil || res.Cost < full.Cost {
 		t.Errorf("canceled context: optimal=%v cost %d (optimum %d) after %d visits", res.Optimal, res.Cost, full.Cost, res.Stats.Visited)
+	}
+}
+
+// checkNodeLimits solves g on p unbounded, then under node limits of 1,
+// 100 and one below the unbounded visit count: each must stop with the
+// anytime contract's flags, within one visit of its limit, at a cost no
+// better than the optimum. It returns the unbounded result.
+func checkNodeLimits(t *testing.T, name string, g *taskgraph.Graph, p platform.Platform) Result {
+	t.Helper()
+	full, err := SolvePartitioned(nil, g, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !full.Optimal || full.Stats.Visited <= 100 {
+		t.Fatalf("%s: unbounded search: optimal=%v after %d visits; the limits below must bind", name, full.Optimal, full.Stats.Visited)
+	}
+	for _, limit := range []int64{1, 100, full.Stats.Visited - 1} {
+		res, err := SolvePartitioned(nil, g, p, Options{NodeLimit: limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Optimal || !res.Stats.TimedOut {
+			t.Errorf("%s NodeLimit %d: optimal=%v timedOut=%v after %d visits", name, limit, res.Optimal, res.Stats.TimedOut, res.Stats.Visited)
+		}
+		if res.Stats.Visited > limit+1 {
+			t.Errorf("%s NodeLimit %d: %d visits", name, limit, res.Stats.Visited)
+		}
+		if res.Schedule == nil || res.Cost < full.Cost {
+			t.Errorf("%s NodeLimit %d: cost %d beats the optimum %d (schedule %v)", name, limit, res.Cost, full.Cost, res.Schedule != nil)
+		}
+	}
+	return full
+}
+
+// On platforms with interchangeable processors the symmetry rule skips the
+// empty twins of every tried processor. The optimum must still be brute
+// force's, node limits must still bind, and the rule must actually skip:
+// the same search on a copy whose speeds differ by 1e-7, which leaves
+// every execution time unchanged (ExecCost rounds up) but puts each
+// processor in a class of its own, finds the same cost and assignment
+// from more visits.
+func TestSolvePartitionedSymmetry(t *testing.T) {
+	platforms := []struct {
+		name string
+		plat func(n int) platform.Platform
+	}{
+		{"speeds 1,1,2,2", func(int) platform.Platform {
+			return platform.Platform{M: 4, CommDelay: 1, Speed: []float64{1, 1, 2, 2}}
+		}},
+		{"bench", benchPlatform},
+	}
+	for _, pc := range platforms {
+		var visited, unbroken int64
+		for seed := int64(0); seed < 20; seed++ {
+			g := smallInstance(t, seed)
+			p := pc.plat(g.NumTasks())
+			got, err := SolvePartitioned(nil, g, p, Options{})
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", pc.name, seed, err)
+			}
+			want, err := BruteForcePartitioned(g, p)
+			if err != nil {
+				t.Fatalf("%s seed %d: brute force: %v", pc.name, seed, err)
+			}
+			if !got.Optimal || got.Cost != want.Cost {
+				t.Fatalf("%s seed %d: B&B cost %d (optimal=%v), brute-force cost %d", pc.name, seed, got.Cost, got.Optimal, want.Cost)
+			}
+			if err := got.Schedule.Check(); err != nil {
+				t.Fatalf("%s seed %d: invalid partitioned schedule: %v", pc.name, seed, err)
+			}
+
+			broken := p
+			broken.Speed = slices.Clone(p.Speed)
+			for q := range broken.Speed {
+				broken.Speed[q] += float64(q) * 1e-7
+			}
+			if slices.Max(broken.Classes()) != broken.M-1 {
+				t.Fatalf("%s: perturbed speeds still share a class: %v", pc.name, broken.Classes())
+			}
+			ref, err := SolvePartitioned(nil, g, broken, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref.Cost != got.Cost || !slices.Equal(ref.Assign, got.Assign) {
+				t.Fatalf("%s seed %d: cost %d %v with the rule, %d %v without", pc.name, seed, got.Cost, got.Assign, ref.Cost, ref.Assign)
+			}
+			visited += got.Stats.Visited
+			unbroken += ref.Stats.Visited
+		}
+		if visited >= unbroken {
+			t.Errorf("%s: %d visits with the symmetry rule, %d without; the rule skipped nothing", pc.name, visited, unbroken)
+		}
+		g := gen.New(gen.Defaults(), 7000).Graph()
+		checkNodeLimits(t, pc.name, g, pc.plat(g.NumTasks()))
 	}
 }

@@ -49,6 +49,15 @@ import (
 // pass over the unassigned suffix reduces it to restA = max(noT_m − D_m)
 // and restP = max(PE_m − D_m) over t's descendants, and t's child on q
 // folds them with f_t — the same exact split as core's coneFor.
+//
+// Processors of one platform.Classes() class have the same speed and the
+// same affinity column, and CommCost depends only on whether two
+// processors are the same, so relabeling two such processors that no task
+// is assigned to yet maps every completion to one with the same
+// partitioned-EDF cost. The search therefore tries only the lowest-index
+// empty processor of each class at a vertex and skips its empty twins,
+// like the global kernel's duplicate-free generation: a skipped child is
+// not visited, pruned or counted.
 
 // Options bounds a partitioned solve.
 type Options struct {
@@ -98,7 +107,8 @@ type psolver struct {
 	opt   Options
 	topo  []taskgraph.TaskID
 	order []taskgraph.TaskID // the partitioned-EDF placement order
-	st    *sched.State       // leaf simulations, and the flat cost tables
+	st    *sched.State       // the seed, leaf simulations, and the flat cost tables
+	class []int              // each processor's interchangeability class
 
 	cur  []platform.Proc // partial assignment, NoProc = unassigned
 	arr  []taskgraph.Time
@@ -142,6 +152,7 @@ func SolvePartitioned(ctx context.Context, g *taskgraph.Graph, p platform.Platfo
 		g: g, p: p, ctx: ctx, opt: opt, topo: topo,
 		order:  edf.PartitionedOrder(g),
 		st:     sched.NewState(g, p),
+		class:  p.Classes(),
 		cur:    make([]platform.Proc, n),
 		arr:    make([]taskgraph.Time, n),
 		dl:     make([]taskgraph.Time, n),
@@ -163,13 +174,14 @@ func SolvePartitioned(ctx context.Context, g *taskgraph.Graph, p platform.Platfo
 	}
 
 	// Incumbent seed: the global EDF heuristic's induced assignment,
-	// re-evaluated under the partitioned simulation.
-	seed, err := edf.Schedule(g, p)
-	if err != nil {
+	// re-evaluated under the partitioned simulation. Both run on the
+	// search's state; global EDF picks its tasks in the partitioned order,
+	// so the re-evaluation keeps the whole trail.
+	if err := edf.ScheduleOn(s.st); err != nil {
 		return Result{}, err
 	}
 	for i := 0; i < n; i++ {
-		s.incBuf[i] = seed.Schedule.Proc(taskgraph.TaskID(i))
+		s.incBuf[i] = s.st.Proc(taskgraph.TaskID(i))
 	}
 	s.incCost = edf.PartitionedLmax(s.st, s.incBuf, s.order)
 	res := Result{Assign: append([]platform.Proc(nil), s.incBuf...)}
@@ -186,14 +198,13 @@ func SolvePartitioned(ctx context.Context, g *taskgraph.Graph, p platform.Platfo
 	res.Optimal = !s.stopped
 	res.Stats = s.stats
 	copy(res.Assign, s.incBuf)
-	final, err := edf.SchedulePartitioned(g, p, res.Assign)
-	if err != nil {
-		return Result{}, fmt.Errorf("hetero: incumbent re-evaluation: %w", err)
+	// Re-simulate the incumbent from the empty schedule, so the cross-check
+	// owes nothing to the trail the search left.
+	s.st.Reset()
+	if lmax := edf.PartitionedLmax(s.st, res.Assign, s.order); lmax != res.Cost {
+		return Result{}, fmt.Errorf("hetero: incumbent cost drift: search says %d, re-simulation says %d", res.Cost, lmax)
 	}
-	if final.Lmax != res.Cost {
-		return Result{}, fmt.Errorf("hetero: incumbent cost drift: search says %d, re-simulation says %d", res.Cost, final.Lmax)
-	}
-	res.Schedule = final.Schedule
+	res.Schedule = s.st.Snapshot()
 	if res.Lower > res.Cost {
 		return Result{}, fmt.Errorf("hetero: root bound %d exceeds optimal cost %d (bound not admissible)", res.Lower, res.Cost)
 	}
@@ -238,7 +249,7 @@ func (s *psolver) dfs(k int, lat taskgraph.Time) {
 	t := s.topo[k]
 	restA, restP := s.sweep(k)
 	arr, dl := s.arr[t], s.dl[t]
-	for mask := s.st.AllowedMask(t); mask != 0; mask &= mask - 1 {
+	for mask := s.st.AllowedMask(t) &^ s.twins(); mask != 0; mask &= mask - 1 {
 		q := platform.Proc(bits.TrailingZeros64(mask))
 		c := s.st.ExecOn(t, q)
 		f := s.start(t, q) + c
@@ -272,6 +283,24 @@ func (s *psolver) dfs(k int, lat taskgraph.Time) {
 			return
 		}
 	}
+}
+
+// twins returns the processors the symmetry rule skips at the current
+// vertex: every empty processor with a lower-index empty processor of its
+// class. A processor is empty exactly when its load is 0, since every
+// execution time is at least 1.
+func (s *psolver) twins() uint64 {
+	var twins, seen uint64
+	for q, c := range s.class {
+		if s.load[q] != 0 {
+			continue
+		}
+		if seen>>uint(c)&1 == 1 {
+			twins |= 1 << uint(q)
+		}
+		seen |= 1 << uint(c)
+	}
+	return twins
 }
 
 // start returns the earliest time the assigned prefix's estimates let

@@ -18,7 +18,8 @@ import (
 // full O(V+E+M) sweep per child (bound) and a ready-scan EDF simulation
 // per leaf (readyScanLmax). It is kept as the reference the search under
 // test must match vertex for vertex. Like the search, it checks NodeLimit
-// on every visit; it has no clock or context.
+// on every visit and skips the empty twins of the symmetry rule (twins);
+// it has no clock or context.
 type refSolver struct {
 	g         *taskgraph.Graph
 	p         platform.Platform
@@ -102,7 +103,7 @@ func (s *refSolver) dfs(k int) {
 		return
 	}
 	id := s.topo[k]
-	for mask := s.p.AllowedMask(id); mask != 0; mask &= mask - 1 {
+	for mask := s.p.AllowedMask(id) &^ s.twins(); mask != 0; mask &= mask - 1 {
 		q := platform.Proc(bits.TrailingZeros64(mask))
 		s.cur[id] = q
 		if lb := s.bound(); lb >= s.incCost {
@@ -115,6 +116,27 @@ func (s *refSolver) dfs(k int) {
 			return
 		}
 	}
+}
+
+// twins returns every processor that no task is assigned to and that has
+// a lower-index processor of its class no task is assigned to either.
+func (s *refSolver) twins() uint64 {
+	var used, twins uint64
+	for _, q := range s.cur {
+		if q != platform.NoProc {
+			used |= 1 << uint(q)
+		}
+	}
+	class := s.p.Classes()
+	for q := range class {
+		for r := 0; r < q && used>>uint(q)&1 == 0; r++ {
+			if class[r] == class[q] && used>>uint(r)&1 == 0 {
+				twins |= 1 << uint(q)
+				break
+			}
+		}
+	}
+	return twins
 }
 
 func (s *refSolver) bound() taskgraph.Time {

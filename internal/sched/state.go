@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/platform"
 	"repro/internal/taskgraph"
@@ -94,6 +93,12 @@ func NewState(g *taskgraph.Graph, p platform.Platform) *State {
 		exec:     make([]taskgraph.Time, n),
 		absDl:    make([]taskgraph.Time, n),
 	}
+	// The per-task message slices are cut from one slab of all in-arcs.
+	arcs := 0
+	for id := 0; id < n; id++ {
+		arcs += g.InDegree(taskgraph.TaskID(id))
+	}
+	slab := make([]taskgraph.Time, arcs)
 	for id := 0; id < n; id++ {
 		t := g.Task(taskgraph.TaskID(id))
 		s.arrival[id], s.exec[id], s.absDl[id] = t.Arrival(), t.Exec, t.AbsDeadline()
@@ -101,7 +106,8 @@ func NewState(g *taskgraph.Graph, p platform.Platform) *State {
 		if len(preds) == 0 {
 			continue
 		}
-		msgs := make([]taskgraph.Time, len(preds))
+		msgs := slab[:len(preds):len(preds)]
+		slab = slab[len(preds):]
 		for k, pred := range preds {
 			msgs[k] = g.MessageSize(pred, taskgraph.TaskID(id))
 		}
@@ -184,24 +190,6 @@ func (s *State) EarliestProcFree() taskgraph.Time {
 	for _, f := range s.procFree[1:] {
 		if f < min {
 			min = f
-		}
-	}
-	return min
-}
-
-// EarliestProcFreeFor returns ℓ_i: the earliest time at which the task can
-// be scheduled on any processor its affinity mask allows. This is the
-// per-processor generalization of LB1's ℓ_min term — under universal
-// affinity it degenerates to EarliestProcFree.
-func (s *State) EarliestProcFreeFor(id taskgraph.TaskID) taskgraph.Time {
-	if s.aff == nil {
-		return s.EarliestProcFree()
-	}
-	min := taskgraph.Infinity
-	for mask := s.aff[id]; mask != 0; mask &= mask - 1 {
-		q := bits.TrailingZeros64(mask)
-		if s.procFree[q] < min {
-			min = s.procFree[q]
 		}
 	}
 	return min
